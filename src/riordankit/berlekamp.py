@@ -17,7 +17,7 @@ from math import comb
 from . import riordan, sequences, series
 from .errors import InsufficientTerms, SingularSystem
 from .hankel import hankel_matrix
-from .linalg import solve
+from .linalg import _back_substitute, _eliminate, solve
 
 
 def solve_bm(a, d: int):
@@ -26,12 +26,7 @@ def solve_bm(a, d: int):
         raise ValueError("window size must be at least 1")
     if len(a) < 2 * d:
         raise InsufficientTerms(f"need {2 * d} terms for window size {d}")
-    h = hankel_matrix(a, d)
-    rhs = list(a[d : 2 * d])
-    try:
-        return solve(h, rhs)
-    except SingularSystem:
-        raise SingularSystem(d) from None
+    return solve(hankel_matrix(a, d), list(a[d : 2 * d]))
 
 
 def bm_triangle(a, count: int):
@@ -39,13 +34,20 @@ def bm_triangle(a, count: int):
 
     On a singular window the error carries the failing size and the rows
     already computed, which is usually the interesting diagnostic.
+
+    Window d is the first d rows, columns 0..d, of one elimination of the
+    block [a_(i+j)] without row swaps: every earlier window was solved, so
+    the first zero pivot is the first singular window.
     """
-    rows = []
-    for d in range(1, count + 1):
-        try:
-            rows.append(solve_bm(a, d))
-        except SingularSystem as exc:
-            raise SingularSystem(d, partial=rows) from exc
+    windows = max(0, min(count, len(a) // 2))
+    m = [[a[i + j] for j in range(windows + 1)] for i in range(windows)]
+    solved = _eliminate(m, windows, stop_at_zero=True)[1]
+    rows = [_back_substitute(m, d, d) for d in range(1, solved + 1)]
+    if solved < windows:
+        raise SingularSystem(solved + 1, partial=rows)
+    if windows < count:
+        d = windows + 1
+        raise InsufficientTerms(f"need {2 * d} terms for window size {d}")
     return rows
 
 
@@ -58,25 +60,23 @@ def char_poly(a, d: int):
 def companion_check(a, d: int):
     """The matrix H_d^(-1) H'_d with H'(i,j) = a_(i+j+1).
 
-    Structure is asserted before returning: ones on the sub-diagonal,
-    zeros elsewhere, and the recurrence coefficients in the last column.
+    Structure is asserted before returning: ones on the sub-diagonal and
+    zeros elsewhere.  The last column solves H_d g = (a_d, ..., a_(2d-1)),
+    so it holds the recurrence coefficients of ``solve_bm``.
     """
     if len(a) < 2 * d:
         raise InsufficientTerms(f"need {2 * d} terms for window size {d}")
     h = hankel_matrix(a, d)
-    cols = []
-    for j in range(d):
-        shifted = [a[i + j + 1] for i in range(d)]
-        cols.append(solve(h, shifted))
+    block = [h[i] + [a[i + j + 1] for j in range(d)] for i in range(d)]
+    if _eliminate(block, d)[1] < d:
+        raise SingularSystem(d)
+    cols = [_back_substitute(block, d, d + j) for j in range(d)]
     m = [[cols[j][i] for j in range(d)] for i in range(d)]
-    g = solve_bm(a, d)
     for i in range(d):
         for j in range(d - 1):
             expected = Fraction(1 if i == j + 1 else 0)
             if m[i][j] != expected:
                 raise RuntimeError(f"companion structure broken at ({i}, {j})")
-        if m[i][d - 1] != g[i]:
-            raise RuntimeError(f"companion last column broken at row {i}")
     return m
 
 

@@ -48,6 +48,13 @@ def _emit_csv(header, rows) -> None:
     sys.stdout.write("\n".join(lines) + "\n")
 
 
+def _emit_rows_csv(rows, header=("n", "k", "value")) -> None:
+    """One CSV line per entry of ragged rows: row index, column index, value."""
+    _emit_csv(
+        header, [(n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)]
+    )
+
+
 def _str_list(values):
     return [str(v) for v in values]
 
@@ -120,12 +127,7 @@ def cmd_generate(args) -> int:
     if args.family == "triangle":
         rows = sequences.triangle_rows(args.n, args.r)
         if args.format == "csv":
-            data = [
-                (n, k, rows[n][k])
-                for n in range(len(rows))
-                for k in range(len(rows[n]))
-            ]
-            _emit_csv(("n", "k", "value"), data)
+            _emit_rows_csv(rows)
         else:
             _emit_json(
                 {"family": "triangle", "r": str(args.r), "rows": _str_rows(rows)}
@@ -229,12 +231,7 @@ def cmd_riordan(args) -> int:
         arr = arr.inverse()
     rows = arr.to_matrix(args.size)
     if args.format == "csv":
-        data = [
-            (n, k, rows[n][k])
-            for n in range(len(rows))
-            for k in range(len(rows[n]))
-        ]
-        _emit_csv(("n", "k", "value"), data)
+        _emit_rows_csv(rows)
     else:
         params = {
             "r": str(args.r),
@@ -249,29 +246,18 @@ def cmd_riordan(args) -> int:
 
 def cmd_production(args) -> int:
     params = {"r": str(args.r), "size": str(args.size)}
+    header = ("n", "k", "value")
     if args.action == "matrix":
         source = _named_array(args.array, args.r, args.size + 1)
         rows = production_mod.production_matrix(source.to_matrix(args.size + 1))
         params["array"] = args.array
-        if args.format == "csv":
-            data = [
-                (i, j, rows[i][j])
-                for i in range(len(rows))
-                for j in range(len(rows[i]))
-            ]
-            _emit_csv(("i", "j", "value"), data)
-            return 0
+        header = ("i", "j", "value")
     elif args.action == "array":
         rows = production_mod.a_p(args.r, args.size).to_matrix(args.size)
     else:
         rows = production_mod.stieltjes_bridge(args.r, args.size)
     if args.format == "csv":
-        data = [
-            (n, k, rows[n][k])
-            for n in range(len(rows))
-            for k in range(len(rows[n]))
-        ]
-        _emit_csv(("n", "k", "value"), data)
+        _emit_rows_csv(rows, header)
     else:
         _emit_json({"action": args.action, "params": params, "rows": _str_rows(rows)})
     return 0

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import comb
 
 from .errors import InsufficientTerms, SingularLeadingMinor
-from .linalg import as_int, bareiss_det
+from .linalg import _eliminate, as_int, bareiss_det
 
 __all__ = [
     "hankel_matrix",
@@ -91,9 +91,11 @@ def hankel_transform(a, count: int, method: str = "spot"):
     """First ``count`` Hankel determinants of the sequence.
 
     Methods: ``ldl`` (partial products of the LDL^T diagonal), ``bareiss``
-    (independent fraction-free determinants), ``both`` (run both and insist
-    they agree), or the default ``spot`` (LDL with a Bareiss check at every
-    fourth order).
+    (an independent fraction-free determinant per order, the only route
+    that reports a vanishing minor as a value), or ``both`` and the default
+    ``spot``, which are the same: LDL, checked at every order against the
+    pivots of one Bareiss pass over the whole matrix, which are the leading
+    minors.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -105,20 +107,19 @@ def hankel_transform(a, count: int, method: str = "spot"):
         raise ValueError(f"unknown method {method!r}")
     if method == "bareiss":
         return [bareiss_det(hankel_matrix(a, n + 1)) for n in range(count)]
-    dec = ldl(hankel_matrix(a, count))
+    h = hankel_matrix(a, count)
+    dec = ldl(h)
     values = []
     acc = Fraction(1)
     for n in range(count):
         acc *= dec.d[n]
         values.append(as_int(acc))
-    if method == "both":
-        checks = range(count)
-    elif method == "spot":
-        checks = range(0, count, 4)
-    else:
-        checks = ()
-    for n in checks:
-        reference = bareiss_det(hankel_matrix(a, n + 1))
+    if method == "ldl":
+        return values
+    # LDL succeeded, so no leading minor vanishes and the pass never swaps.
+    _eliminate(h, count)
+    for n in range(count):
+        reference = h[n][n]
         if reference != values[n]:
             raise RuntimeError(
                 f"determinant paths disagree at order {n}: "

@@ -74,6 +74,51 @@ def _exact_div(a, b):
     return a / b
 
 
+def _eliminate(m, steps, stop_at_zero=False):
+    """Fraction-free (Bareiss) elimination of m in place, over its first
+    ``steps`` columns; m may be rectangular, and every later column is
+    carried along.  Returns (sign, completed steps).
+
+    With no row swap, pivot k is the leading (k+1)-minor (Sylvester's
+    identity).  A zero pivot swaps in a lower row, flipping the sign, or
+    ends the pass when there is none or ``stop_at_zero`` is set.
+    """
+    sign = 1
+    prev = 1
+    for k in range(steps):
+        if m[k][k] == 0:
+            if stop_at_zero:
+                return sign, k
+            for i in range(k + 1, len(m)):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return sign, k
+        top = m[k]
+        pivot = top[k]
+        for i in range(k + 1, len(m)):
+            row = m[i]
+            lead = row[k]
+            for j in range(k + 1, len(row)):
+                row[j] = _exact_div(pivot * row[j] - lead * top[j], prev)
+            row[k] = 0
+        prev = pivot
+    return sign, steps
+
+
+def _back_substitute(m, n, col):
+    """Solve the leading n x n upper-triangular block of m against column col."""
+    xs = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = Fraction(m[i][col])
+        for j in range(i + 1, n):
+            s -= m[i][j] * xs[j]
+        xs[i] = s / m[i][i]
+    return xs
+
+
 def bareiss_det(m):
     """Fraction-free determinant.
 
@@ -85,24 +130,8 @@ def bareiss_det(m):
     if n == 0:
         return 1
     a = [list(row) for row in m]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = a[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = _exact_div(pivot * a[i][j] - a[i][k] * a[k][j], prev)
-            a[i][k] = 0
-        prev = pivot
-    return sign * a[n - 1][n - 1]
+    sign, done = _eliminate(a, n - 1)
+    return sign * a[n - 1][n - 1] if done == n - 1 else 0
 
 
 def solve(a, b):
@@ -110,30 +139,9 @@ def solve(a, b):
     back-substitution over Fractions.  Raises SingularSystem if singular."""
     n = len(a)
     m = [list(a[i]) + [b[i]] for i in range(n)]
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k] != 0:
-                    m[k], m[i] = m[i], m[k]
-                    break
-            else:
-                raise SingularSystem(n)
-        pivot = m[k][k]
-        for i in range(k + 1, n):
-            for j in range(k + 1, n + 1):
-                m[i][j] = _exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev)
-            m[i][k] = 0
-        prev = pivot
-    if m[n - 1][n - 1] == 0:
+    if _eliminate(m, n)[1] < n:
         raise SingularSystem(n)
-    xs = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(m[i][n])
-        for j in range(i + 1, n):
-            s -= m[i][j] * xs[j]
-        xs[i] = s / m[i][i]
-    return xs
+    return _back_substitute(m, n, n)
 
 
 def lower_tri_inverse(l):

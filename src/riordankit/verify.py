@@ -9,8 +9,7 @@ fanned out across worker processes.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import comb
 
@@ -55,27 +54,14 @@ def fmt(value) -> str:
     return str(value)
 
 
-def _cell(out, cid, claim, expected, actual, **params):
-    status = "pass" if expected == actual else "fail"
+def _prop(out, cid, claim, expected, actual, **params):
+    """Record one check; it passes iff expected == actual."""
     out.append(
         CheckResult(
             id=cid,
             claim=claim,
             params={k: str(v) for k, v in params.items()},
-            status=status,
-            expected=fmt(expected),
-            actual=fmt(actual),
-        )
-    )
-
-
-def _prop(out, cid, claim, ok, expected, actual, **params):
-    out.append(
-        CheckResult(
-            id=cid,
-            claim=claim,
-            params={k: str(v) for k, v in params.items()},
-            status="pass" if ok else "fail",
+            status="pass" if expected == actual else "fail",
             expected=fmt(expected),
             actual=fmt(actual),
         )
@@ -87,9 +73,9 @@ def _guard(out, cid, claim, fn, **params):
     try:
         fn()
     except Exception as exc:  # the claim is exactly "this does not raise"
-        _prop(out, cid, claim, False, "holds", f"{type(exc).__name__}: {exc}", **params)
+        _prop(out, cid, claim, "holds", f"{type(exc).__name__}: {exc}", **params)
     else:
-        _prop(out, cid, claim, True, "holds", "holds", **params)
+        _prop(out, cid, claim, "holds", "holds", **params)
 
 
 def _rs(r_max, cap=None):
@@ -122,7 +108,6 @@ def check_series_roundtrips(r_max, n_max):
         out,
         "series-div-mul-roundtrip",
         "(a*b)/b = a for random series with unit-constant b",
-        bad is None,
         "all 20 cases",
         "all 20 cases" if bad is None else f"case {bad} failed",
         cases=20,
@@ -138,7 +123,6 @@ def check_series_roundtrips(r_max, n_max):
         out,
         "series-sqrt-square",
         "sqrt(a)^2 = a for random series with constant term 1",
-        bad is None,
         "all 50 cases",
         "all 50 cases" if bad is None else f"case {bad} failed",
         cases=50,
@@ -159,7 +143,6 @@ def check_series_revert(r_max, n_max):
             out,
             f"series-revert-roundtrip-r{r}",
             "reversion of x/(1+(r+1)x+rx^2) composes to x both ways",
-            ok,
             "x",
             "x" if ok else "mismatch",
             r=r,
@@ -180,7 +163,7 @@ def check_series_bivariate_y0(r_max, n_max):
         num_y0 = [row[0] if row else 0 for row in num]
         den_y0 = [row[0] if row else 0 for row in den]
         specialized = series.rational(num_y0, den_y0, order)
-        _cell(
+        _prop(
             out,
             f"series-bivariate-y0-r{r}",
             "setting y = 0 in the bivariate expansion matches univariate division",
@@ -216,7 +199,7 @@ def check_sequence_tables(r_max, n_max):
     out = []
     for (name, r), expected in sorted(_SEQ_TABLES.items()):
         actual = sequences.family_terms(name, len(expected), r)
-        _cell(
+        _prop(
             out,
             f"seq-{name}-r{r}",
             f"the {name} family reproduces its reference values",
@@ -225,7 +208,7 @@ def check_sequence_tables(r_max, n_max):
             r=r,
             count=len(expected),
         )
-    _cell(
+    _prop(
         out,
         "seq-interleaved",
         "interleaved Pell expansion starts 1, 3, 5, 17, 29, 99",
@@ -236,7 +219,7 @@ def check_sequence_tables(r_max, n_max):
     scaled = [
         4 ** (n * n // 4) * sequences.interleaved_pell(n) for n in range(5)
     ]
-    _cell(
+    _prop(
         out,
         "seq-interleaved-scaled",
         "scaling by 4^floor(n^2/4) gives 1, 3, 20, 272, 7424",
@@ -263,14 +246,13 @@ def check_triangle(r_max, n_max):
             out,
             f"triangle-symmetry-r{r}",
             "T(n, k; r) = T(n, n-k; r)",
-            bad is None,
             "symmetric",
             "symmetric" if bad is None else f"mismatch at {bad}",
             r=r,
             n_max=n_max,
         )
     pascal = [[comb(n, k) for k in range(n + 1)] for n in range(6)]
-    _cell(
+    _prop(
         out,
         "triangle-pascal",
         "r = 1 reduces the triangle to Pascal",
@@ -278,11 +260,11 @@ def check_triangle(r_max, n_max):
         sequences.triangle_rows(6, 1),
         r=1,
     )
-    _cell(out, "triangle-delannoy-2-1", "T(2, 1; 2) = 3", 3,
+    _prop(out, "triangle-delannoy-2-1", "T(2, 1; 2) = 3", 3,
           sequences.triangle_T(2, 1, 2), r=2)
-    _cell(out, "triangle-delannoy-6-3", "T(6, 3; 2) = 63", 63,
+    _prop(out, "triangle-delannoy-6-3", "T(6, 3; 2) = 63", 63,
           sequences.triangle_T(6, 3, 2), r=2)
-    _cell(out, "triangle-pascal-4-2", "T(4, 2; 1) = 6", 6,
+    _prop(out, "triangle-pascal-4-2", "T(4, 2; 1) = 6", 6,
           sequences.triangle_T(4, 2, 1), r=1)
     return out
 
@@ -302,14 +284,13 @@ def check_b_methods(r_max, n_max):
             out,
             f"b-methods-agree-r{r}",
             "all four b-sequence formulas agree",
-            bad is None,
             "single value per n",
             "single value per n" if bad is None else f"split at n={bad[0]}",
             r=r,
             n_max=n_max,
         )
         pell = [sequences.gen_pell(n, r) for n in range(n_max + 1)]
-        _cell(
+        _prop(
             out,
             f"b-binomial-of-pell-r{r}",
             "b is the binomial transform of the generalized Pell sequence",
@@ -325,7 +306,7 @@ def check_b_methods(r_max, n_max):
 def check_closed_form_helpers(r_max, n_max):
     out = []
     for n in range(min(n_max, 8) + 1):
-        _cell(
+        _prop(
             out,
             f"ht-sum-r2-variant-n{n}",
             "the r = 2 sum determinant equals its binomial-sum form",
@@ -349,7 +330,6 @@ def check_closed_form_helpers(r_max, n_max):
             out,
             f"central-egf-identity-r{r}",
             "central coefficients match their exponential-form expansion",
-            bad is None,
             "equal for all n",
             "equal for all n" if bad is None else f"differs at n={bad}",
             r=r,
@@ -357,7 +337,7 @@ def check_closed_form_helpers(r_max, n_max):
         )
         aerated = [sequences.bessel_moments(n, r) for n in range(2 * n_max + 1)]
         central_terms = [sequences.central(n, r) for n in range(2 * n_max + 1)]
-        _cell(
+        _prop(
             out,
             f"bessel-binomial-shift-r{r}",
             "the aerated moment sequence is the (-(r+1))-fold binomial shift "
@@ -377,7 +357,7 @@ _PASCAL_5 = [[1], [1, 1], [1, 2, 1], [1, 3, 3, 1], [1, 4, 6, 4, 1]]
 @check("riordan")
 def check_riordan_tables(r_max, n_max):
     out = []
-    _cell(
+    _prop(
         out,
         "riordan-pascal",
         "(1/(1-x), x/(1-x)) expands to Pascal's triangle",
@@ -385,14 +365,14 @@ def check_riordan_tables(r_max, n_max):
         riordan.binomial(6).to_matrix(5),
     )
     signed = [[(-1) ** (n - k) * comb(n, k) for k in range(n + 1)] for n in range(5)]
-    _cell(
+    _prop(
         out,
         "riordan-binomial-inverse",
         "the inverse binomial array carries alternating signs",
         signed,
         riordan.binomial_power(-1, 6).to_matrix(5),
     )
-    _cell(
+    _prop(
         out,
         "riordan-central-r2",
         "the central array at r = 2 starts [1],[3,1],[13,6,1],[63,33,9,1]",
@@ -400,7 +380,7 @@ def check_riordan_tables(r_max, n_max):
         riordan.l_central(2, 4).to_matrix(4),
         r=2,
     )
-    _cell(
+    _prop(
         out,
         "riordan-catalan-r1",
         "the Catalan array at r = 1 starts [1],[1,1],[2,3,1],[5,9,5,1]",
@@ -408,7 +388,7 @@ def check_riordan_tables(r_max, n_max):
         riordan.l_catalan(1, 4).to_matrix(4),
         r=1,
     )
-    _cell(
+    _prop(
         out,
         "riordan-catalan-r3",
         "the Catalan array at r = 3 starts [1],[3,1],[12,7,1],[57,43,11,1]",
@@ -416,13 +396,13 @@ def check_riordan_tables(r_max, n_max):
         riordan.l_catalan(3, 4).to_matrix(4),
         r=3,
     )
-    _cell(out, "riordan-entry-egf-2-0-2", "e.g.f. column entry (2, 0) at r = 2 is 13",
+    _prop(out, "riordan-entry-egf-2-0-2", "e.g.f. column entry (2, 0) at r = 2 is 13",
           13, riordan.egf_column_coeff(2, 0, 2), n=2, k=0, r=2)
-    _cell(out, "riordan-entry-egf-3-1-2", "e.g.f. column entry (3, 1) at r = 2 is 33",
+    _prop(out, "riordan-entry-egf-3-1-2", "e.g.f. column entry (3, 1) at r = 2 is 33",
           33, riordan.egf_column_coeff(3, 1, 2), n=3, k=1, r=2)
-    _cell(out, "riordan-entry-suma-3-1-2", "double sum A gives entry (3, 1) = 33 at r = 2",
+    _prop(out, "riordan-entry-suma-3-1-2", "double sum A gives entry (3, 1) = 33 at r = 2",
           33, riordan.central_l_entry(3, 1, 2, "sumA"), n=3, k=1, r=2)
-    _cell(out, "riordan-entry-sumb-3-1-2", "double sum B gives entry (3, 1) = 33 at r = 2",
+    _prop(out, "riordan-entry-sumb-3-1-2", "double sum B gives entry (3, 1) = 33 at r = 2",
           33, riordan.central_l_entry(3, 1, 2, "sumB"), n=3, k=1, r=2)
     return out
 
@@ -442,7 +422,7 @@ def check_riordan_group_laws(r_max, n_max):
         ]
         for name, arr in named:
             product = arr.multiply(b)
-            _cell(
+            _prop(
                 out,
                 f"riordan-product-law-{name}-r{r}",
                 "the matrix of a product is the product of the matrices",
@@ -455,7 +435,7 @@ def check_riordan_group_laws(r_max, n_max):
                 order=order,
             )
             inv = arr.inverse()
-            _cell(
+            _prop(
                 out,
                 f"riordan-inverse-law-{name}-r{r}",
                 "an array times its group inverse is the identity matrix",
@@ -468,7 +448,7 @@ def check_riordan_group_laws(r_max, n_max):
                 order=order,
             )
             seq = [rng.randint(-5, 5) for _ in range(arr.order)]
-            _cell(
+            _prop(
                 out,
                 f"riordan-fundamental-{name}-r{r}",
                 "acting via d*(f o h) equals the matrix-vector product",
@@ -487,7 +467,7 @@ def check_riordan_columns(r_max, n_max):
     for r in _rs(r_max):
         central_arr = riordan.l_central(r, dim)
         rows = central_arr.to_matrix(dim)
-        _cell(
+        _prop(
             out,
             f"l-central-col0-r{r}",
             "column 0 of the central array is the central-coefficient family",
@@ -514,14 +494,13 @@ def check_riordan_columns(r_max, n_max):
             out,
             f"l-central-entries-r{r}",
             "matrix entries, both double sums, and the e.g.f. coefficients agree",
-            bad is None,
             "all four routes equal",
             "all four routes equal" if bad is None else f"mismatch at {bad}",
             r=r,
             dim=dim,
         )
         catalan_rows = riordan.l_catalan(r, dim).to_matrix(dim)
-        _cell(
+        _prop(
             out,
             f"l-catalan-col0-r{r}",
             "column 0 of the Catalan array is the generalized Catalan family",
@@ -552,7 +531,7 @@ def check_hankel_closed_forms(r_max, n_max):
             terms = sequences.family_terms(name, 2 * cap + 1, r)
             values = hankel.hankel_transform(terms, cap + 1, method="both")
             for n in range(cap + 1):
-                _cell(
+                _prop(
                     out,
                     f"ht-{name}-r{r}-n{n}",
                     f"Hankel determinant of the {name} family matches the "
@@ -577,7 +556,7 @@ def check_binomial_invariance(r_max, n_max):
             expected = [sequences.closed_ht(kind, n, r) for n in range(cap + 1)]
             for k in range(-3, 4):
                 shifted = hankel.binomial_transform(base, k)
-                _cell(
+                _prop(
                     out,
                     f"ht-binomial-invariance-{name}-r{r}-k{k:+d}",
                     "the Hankel transform is invariant under binomial transforms",
@@ -599,7 +578,7 @@ def check_ldl(r_max, n_max):
             terms = sequences.family_terms(name, 2 * m - 1, r)
             h = hankel.hankel_matrix(terms, m)
             dec = hankel.ldl(h)
-            _cell(
+            _prop(
                 out,
                 f"ldl-reconstruction-{name}-r{r}",
                 "L D L^T multiplies back to the Hankel matrix exactly",
@@ -614,7 +593,7 @@ def check_ldl(r_max, n_max):
             for dv in dec.d:
                 acc *= dv
                 prods.append(acc)
-            _cell(
+            _prop(
                 out,
                 f"ldl-bareiss-agreement-{name}-r{r}",
                 "partial products of the LDL^T diagonal equal the Bareiss minors",
@@ -625,7 +604,7 @@ def check_ldl(r_max, n_max):
                 size=m,
             )
             if name == "central":
-                _cell(
+                _prop(
                     out,
                     f"ldl-dfactor-central-r{r}",
                     "the central-family diagonal is 1, 2r, 2r^2, ...",
@@ -634,7 +613,7 @@ def check_ldl(r_max, n_max):
                     r=r,
                     size=m,
                 )
-                _cell(
+                _prop(
                     out,
                     f"ldl-lfactor-central-r{r}",
                     "the unit factor of the central family is the central array",
@@ -644,7 +623,7 @@ def check_ldl(r_max, n_max):
                     size=m,
                 )
             if name == "catalan":
-                _cell(
+                _prop(
                     out,
                     f"ldl-dfactor-catalan-r{r}",
                     "the Catalan-family diagonal is r^n",
@@ -653,7 +632,7 @@ def check_ldl(r_max, n_max):
                     r=r,
                     size=m,
                 )
-                _cell(
+                _prop(
                     out,
                     f"ldl-lfactor-catalan-r{r}",
                     "the unit factor of the Catalan family is the Catalan array",
@@ -663,7 +642,7 @@ def check_ldl(r_max, n_max):
                     size=m,
                 )
     central2 = sequences.family_terms("central", 7, 2)
-    _cell(
+    _prop(
         out,
         "hankel-table-central-r2",
         "the 4 x 4 Hankel block of the r = 2 central family",
@@ -672,7 +651,7 @@ def check_ldl(r_max, n_max):
         r=2,
     )
     catalan3 = sequences.family_terms("catalan", 7, 3)
-    _cell(
+    _prop(
         out,
         "hankel-table-catalan-r3",
         "the 4 x 4 Hankel block of the r = 3 Catalan family",
@@ -681,7 +660,7 @@ def check_ldl(r_max, n_max):
         r=3,
     )
     dec2 = hankel.ldl(hankel.hankel_matrix(central2, 4))
-    _cell(
+    _prop(
         out,
         "ldl-display-central-r2",
         "the r = 2 central family factors with diagonal (1, 4, 8, 16)",
@@ -691,7 +670,7 @@ def check_ldl(r_max, n_max):
     )
     sum1 = sequences.family_terms("sum", 7, 1)
     dec_s1 = hankel.ldl(hankel.hankel_matrix(sum1, 4))
-    _cell(
+    _prop(
         out,
         "ldl-display-sum-r1",
         "the r = 1 sum family has diagonal (2, 5/2, 13/5, 34/13) and "
@@ -702,7 +681,7 @@ def check_ldl(r_max, n_max):
     )
     sum2 = sequences.family_terms("sum", 7, 2)
     dec_s2 = hankel.ldl(hankel.hankel_matrix(sum2, 4))
-    _cell(
+    _prop(
         out,
         "ldl-display-sum-r2",
         "the r = 2 sum family has diagonal (3, 20/3, 272/20, 7424/272)",
@@ -723,7 +702,7 @@ def check_orthogonality(r_max, n_max):
         p = linalg.pad_square(riordan.l_catalan(r, m).inverse().to_matrix(m))
         conj = linalg.mat_mul(linalg.mat_mul(p, h), linalg.transpose(p))
         expected = [[r**i if i == j else 0 for j in range(m)] for i in range(m)]
-        _cell(
+        _prop(
             out,
             f"orthogonality-catalan-r{r}",
             "conjugating the Hankel matrix by the inverse array diagonalizes it",
@@ -755,7 +734,6 @@ def check_scaled_inverse(r_max, n_max):
             f"scaled-inverse-integrality-r{r}",
             "b(n; r) times row n of the inverse unit factor is integral "
             "with diagonal b(n; r)",
-            bad is None,
             "integral rows",
             "integral rows" if bad is None else f"fractional row {bad}",
             r=r,
@@ -768,7 +746,7 @@ def check_scaled_inverse(r_max, n_max):
     scaled1 = [
         [sequences.b_seq(n, 1) * inv1[n][k] for k in range(n + 1)] for n in range(4)
     ]
-    _cell(
+    _prop(
         out,
         "scaled-inverse-display-r1",
         "the scaled inverse factor at r = 1 is the expected integer triangle",
@@ -783,7 +761,7 @@ def check_scaled_inverse(r_max, n_max):
     scaled2 = [
         [sequences.b_seq(n, 2) * inv2[n][k] for k in range(n + 1)] for n in range(4)
     ]
-    _cell(
+    _prop(
         out,
         "scaled-inverse-display-r2",
         "the scaled inverse factor at r = 2 is the expected integer triangle",
@@ -795,7 +773,7 @@ def check_scaled_inverse(r_max, n_max):
         [sequences.interleaved_pell(n) * inv2[n][k] for k in range(n + 1)]
         for n in range(4)
     ]
-    _cell(
+    _prop(
         out,
         "scaled-inverse-interleaved-r2",
         "scaling instead by the interleaved Pell terms also lands on integers",
@@ -812,7 +790,7 @@ def check_scaled_inverse(r_max, n_max):
 @check("production")
 def check_production_tables(r_max, n_max):
     out = []
-    _cell(
+    _prop(
         out,
         "production-p1-display",
         "the structured matrix at r = 1 starts (0,1,0,0),(0,1,1,0),(0,1,1,1)",
@@ -820,7 +798,7 @@ def check_production_tables(r_max, n_max):
         production.p_catalan(1, 4)[:3],
         r=1,
     )
-    _cell(
+    _prop(
         out,
         "production-p2-display",
         "the structured matrix at r = 2 starts (0,2,0,0),(0,1,2,0),(0,1,1,2)",
@@ -828,7 +806,7 @@ def check_production_tables(r_max, n_max):
         production.p_catalan(2, 4)[:3],
         r=2,
     )
-    _cell(
+    _prop(
         out,
         "production-ap1-display",
         "A_P(1) starts [1],[0,1],[0,1,1],[0,2,2,1]",
@@ -836,7 +814,7 @@ def check_production_tables(r_max, n_max):
         production.a_p(1, 4).to_matrix(4),
         r=1,
     )
-    _cell(
+    _prop(
         out,
         "production-ap2-display",
         "A_P(2) starts [1],[0,2],[0,2,4],[0,6,8,8]",
@@ -845,7 +823,7 @@ def check_production_tables(r_max, n_max):
         r=2,
     )
     b4 = riordan.binomial(6)
-    _cell(
+    _prop(
         out,
         "production-ap1b-display",
         "A_P(1) times the binomial array is the r = 1 Catalan array",
@@ -853,7 +831,7 @@ def check_production_tables(r_max, n_max):
         production.a_p(1, 6).multiply(b4).to_matrix(4),
         r=1,
     )
-    _cell(
+    _prop(
         out,
         "production-ap2b-display",
         "A_P(2) times the binomial array starts [1],[2,2],[6,10,4],[22,46,32,8]",
@@ -862,7 +840,7 @@ def check_production_tables(r_max, n_max):
         r=2,
     )
     rows = production.a_p(2, 5).to_matrix(5)
-    _cell(
+    _prop(
         out,
         "production-ap2-rowsums",
         "row sums of A_P(2) are the r = 2 Catalan numbers 1, 2, 6, 22, 90",
@@ -871,7 +849,7 @@ def check_production_tables(r_max, n_max):
         r=2,
     )
     shift = production.production_matrix(linalg.identity(5))
-    _cell(
+    _prop(
         out,
         "production-identity-shift",
         "the production matrix of the identity has ones above the diagonal",
@@ -887,7 +865,7 @@ def check_production_laws(r_max, n_max):
     m = min(n_max, 8) + 1
     for r in _rs(r_max):
         ap_rows = production.a_p(r, m + 1).to_matrix(m + 1)
-        _cell(
+        _prop(
             out,
             f"production-extract-r{r}",
             "extracting the production matrix of A_P recovers the structured form",
@@ -904,7 +882,7 @@ def check_production_laws(r_max, n_max):
             rebuilt = production.matrix_from_production(
                 production.production_matrix(rows), m
             )
-            _cell(
+            _prop(
                 out,
                 f"production-roundtrip-{name}-r{r}",
                 "rebuilding from the extracted production matrix returns the array",
@@ -924,7 +902,7 @@ def check_production_laws(r_max, n_max):
         order = 12
         h = production.a_p(r, order).h.truncate(order)
         phi = series.rational([r, -(r - 1)], [1, -1], order)
-        _cell(
+        _prop(
             out,
             f"production-u-equation-r{r}",
             "the second component solves h = x * phi(h) for the column-1 "
@@ -944,23 +922,23 @@ def check_production_laws(r_max, n_max):
 def check_bm_values(r_max, n_max):
     out = []
     c3 = sequences.family_terms("catalan", 8, 3)
-    _cell(out, "bm-solve-c3-d1", "window 1 on the r = 3 family gives (3)",
+    _prop(out, "bm-solve-c3-d1", "window 1 on the r = 3 family gives (3)",
           [3], berlekamp.solve_bm(c3, 1), r=3, d=1)
-    _cell(out, "bm-solve-c3-d2", "window 2 on the r = 3 family gives (-9, 7)",
+    _prop(out, "bm-solve-c3-d2", "window 2 on the r = 3 family gives (-9, 7)",
           [-9, 7], berlekamp.solve_bm(c3, 2), r=3, d=2)
-    _cell(out, "bm-solve-c3-d3", "window 3 on the r = 3 family gives (27, -34, 11)",
+    _prop(out, "bm-solve-c3-d3", "window 3 on the r = 3 family gives (27, -34, 11)",
           [27, -34, 11], berlekamp.solve_bm(c3, 3), r=3, d=3)
-    _cell(out, "bm-solve-c3-d4", "window 4 on the r = 3 family gives (-81, 142, -75, 15)",
+    _prop(out, "bm-solve-c3-d4", "window 4 on the r = 3 family gives (-81, 142, -75, 15)",
           [-81, 142, -75, 15], berlekamp.solve_bm(c3, 4), r=3, d=4)
-    _cell(out, "bm-charpoly-c3-d1", "window-1 characteristic coefficients are (-3, 1)",
+    _prop(out, "bm-charpoly-c3-d1", "window-1 characteristic coefficients are (-3, 1)",
           [-3, 1], berlekamp.char_poly(c3, 1), r=3, d=1)
-    _cell(out, "bm-charpoly-c3-d3",
+    _prop(out, "bm-charpoly-c3-d3",
           "window-3 characteristic coefficients are (-27, 34, -11, 1)",
           [-27, 34, -11, 1], berlekamp.char_poly(c3, 3), r=3, d=3)
-    _cell(out, "bm-charpoly-c3-d4",
+    _prop(out, "bm-charpoly-c3-d4",
           "window-4 characteristic coefficients are (81, -142, 75, -15, 1)",
           [81, -142, 75, -15, 1], berlekamp.char_poly(c3, 4), r=3, d=4)
-    _cell(
+    _prop(
         out,
         "bm-companion-c3-d4",
         "the window-4 companion matrix has sub-diagonal ones and the "
@@ -971,7 +949,7 @@ def check_bm_values(r_max, n_max):
         d=4,
     )
     c1 = sequences.family_terms("catalan", 8, 1)
-    _cell(
+    _prop(
         out,
         "bm-triangle-catalan",
         "the Catalan recurrence triangle starts [1],[-1,3],[1,-6,5],[-1,10,-15,7]",
@@ -979,9 +957,9 @@ def check_bm_values(r_max, n_max):
         berlekamp.bm_triangle(c1, 4),
         r=1,
     )
-    _cell(out, "bm-constant-window", "a constant sequence solves to (1) at window 1",
+    _prop(out, "bm-constant-window", "a constant sequence solves to (1) at window 1",
           [1], berlekamp.solve_bm([1, 1], 1), d=1)
-    _cell(out, "catalan-bm-term-3-2", "the closed form gives entry (3, 2) = -15",
+    _prop(out, "catalan-bm-term-3-2", "the closed form gives entry (3, 2) = -15",
           -15, berlekamp.catalan_bm_term(3, 2), n=3, k=2)
     return out
 
@@ -995,7 +973,7 @@ def check_bm_laws(r_max, n_max):
     closed = [
         [berlekamp.catalan_bm_term(n, k) for k in range(n + 1)] for n in range(cap)
     ]
-    _cell(
+    _prop(
         out,
         "bm-closed-form-catalan",
         "the solved Catalan triangle matches the closed form",
@@ -1003,7 +981,7 @@ def check_bm_laws(r_max, n_max):
         tri,
         rows=cap,
     )
-    _cell(
+    _prop(
         out,
         "bm-catalan-diagonal",
         "the closed-form diagonal is 2n + 1",
@@ -1027,7 +1005,6 @@ def check_bm_laws(r_max, n_max):
             out,
             f"bm-recurrence-window-r{r}",
             "each solved window reproduces its defining recurrence rows",
-            bad is None,
             "recurrence holds on the window",
             "recurrence holds on the window" if bad is None else f"fails at {bad}",
             r=r,
@@ -1050,7 +1027,7 @@ def check_bm_laws(r_max, n_max):
             rows=cap,
         )
     rows_r3 = berlekamp.coefficient_riordan_check(3, 5)
-    _cell(
+    _prop(
         out,
         "bm-coefficient-rows-r3",
         "the r = 3 characteristic triangle starts "
@@ -1079,6 +1056,8 @@ def run_checks(scopes, r_max: int, n_max: int, parallel: bool = False) -> Verify
         raise ValueError(f"unknown scope(s): {', '.join(sorted(unknown))}")
     selected = [fn for scope, fn in _REGISTRY if scope in wanted]
     if parallel:
+        from concurrent.futures import ProcessPoolExecutor
+
         jobs = [(fn.__name__, r_max, n_max) for fn in selected]
         with ProcessPoolExecutor() as pool:
             batches = list(pool.map(_invoke, jobs))
@@ -1101,16 +1080,6 @@ def run_checks(scopes, r_max: int, n_max: int, parallel: bool = False) -> Verify
 
 def report_data(report: VerifyReport) -> dict:
     return {
-        "checks": [
-            {
-                "id": res.id,
-                "claim": res.claim,
-                "params": {k: str(v) for k, v in res.params.items()},
-                "status": res.status,
-                "expected": res.expected,
-                "actual": res.actual,
-            }
-            for res in report.checks
-        ],
+        "checks": [asdict(res) for res in report.checks],
         "summary": {k: str(v) for k, v in report.summary.items()},
     }

@@ -149,3 +149,21 @@ def test_solver_against_cramers_rule():
             ]
             cramer.append(Fraction(det_cofactor(replaced), det))
         assert berlekamp.solve_bm(C3, d) == cramer
+
+
+def test_triangle_reports_the_first_failing_window():
+    with pytest.raises(SingularSystem) as err:
+        berlekamp.bm_triangle([2, 0, 0, 0, 1], 3)
+    assert (err.value.order, err.value.partial) == (2, [[0]])
+    with pytest.raises(InsufficientTerms, match="need 6 terms for window size 3"):
+        berlekamp.bm_triangle(C3[:5], 3)
+    assert berlekamp.bm_triangle(C3, 0) == []
+
+
+def test_window_solvable_after_a_singular_one():
+    # H_2 of 0, 1, 1, 2 is invertible though H_1 = [0] is not: single
+    # windows pivot, the triangle stops at the first singular window.
+    assert berlekamp.char_poly([0, 1, 1, 2], 2) == [-1, -1, 1]
+    with pytest.raises(SingularSystem) as err:
+        berlekamp.bm_triangle([0, 1, 1, 2], 2)
+    assert (err.value.order, err.value.partial) == (1, [])

@@ -208,6 +208,39 @@ def test_production_commands(capsys):
     assert json.loads(out)["rows"] == [["1"], ["2", "1"], ["6", "5", "1"]]
 
 
+def test_production_csv_rows(capsys):
+    code, out, _ = run_cli(
+        capsys, "production", "matrix", "--array", "ap", "--r", "2", "--size", "3",
+        "--format", "csv",
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "i,j,value",
+        "0,0,0",
+        "0,1,2",
+        "0,2,0",
+        "1,0,0",
+        "1,1,1",
+        "1,2,2",
+        "2,0,0",
+        "2,1,1",
+        "2,2,1",
+    ]
+    code, out, _ = run_cli(
+        capsys, "production", "array", "--r", "2", "--size", "3", "--format", "csv"
+    )
+    assert code == 0
+    assert out.splitlines() == [
+        "n,k,value",
+        "0,0,1",
+        "1,0,0",
+        "1,1,2",
+        "2,0,0",
+        "2,1,2",
+        "2,2,4",
+    ]
+
+
 def test_verify_small_scope(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--scope", "hankel", "--r-max", "1", "--n-max", "2"
