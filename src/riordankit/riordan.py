@@ -45,7 +45,9 @@ class RiordanArray:
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.d, self.h))
+        # Equality compares only the common prefix, so two equal arrays of
+        # different orders share nothing beyond d[0] (h[0] is always 0).
+        return hash(self.d[0])
 
     def __repr__(self):
         return f"RiordanArray(d={self.d!r}, h={self.h!r})"
@@ -108,16 +110,11 @@ def binomial(order: int) -> RiordanArray:
 
 
 def binomial_power(k: int, order: int) -> RiordanArray:
-    """Integer power of the binomial array; negative powers via the inverse."""
-    if k == 0:
-        return identity(order)
-    base = binomial(order)
-    if k < 0:
-        base = base.inverse()
-    out = base
-    for _ in range(abs(k) - 1):
-        out = out.multiply(base)
-    return out
+    """Integer power of the binomial array: (1/(1-kx), x/(1-kx)) for any k."""
+    return RiordanArray(
+        series.rational([1], [1, -k], order),
+        series.rational([0, 1], [1, -k], order),
+    )
 
 
 @lru_cache(maxsize=None)

@@ -60,9 +60,10 @@ def _compose_lists(f, g, n):
     """f(g(x)) to n terms via Horner; requires g[0] == 0."""
     out = [_ZERO]
     for k in range(min(len(f), n) - 1, -1, -1):
-        out = _mul_lists(out, g, n)
-        if len(out) < n:
-            out += [_ZERO] * (n - len(out))
+        # After f[k] is added, the running value is multiplied by g k more
+        # times.  Since g(0) = 0 each product raises the lowest degree by at
+        # least one, so only its first n - k terms can reach x^(n-1).
+        out = _mul_lists(out, g, n - k)
         out[0] += f[k]
     return out[:n]
 
@@ -171,19 +172,20 @@ class Series:
         """Compositional inverse g with self(g(x)) = x.
 
         Requires a zero constant term and a nonzero linear coefficient;
-        the result has the same truncation order.  Solved coefficient by
-        coefficient: only the linear term of ``self`` touches the newest
-        unknown, so each step is a single exact division.
+        the result has the same truncation order n.  Computed by Lagrange
+        inversion: with phi = x / self, the coefficient of x^m in g is
+        [x^(m-1)] phi^m / m.  The powers of phi are carried to n - 1 terms
+        by one truncated product each, O(n^3) coefficient operations.
         """
         if self.order < 2 or self.coeffs[0] != 0 or self.coeffs[1] == 0:
             raise NotRevertible("reversion requires f(0) = 0 and f'(0) != 0")
         n = self.order
-        h1 = self.coeffs[1]
-        g = [_ZERO] * n
-        g[1] = 1 / h1
+        phi = _div_lists([1], self.coeffs[1:], n - 1)
+        power = phi
+        g = [_ZERO, phi[0]]
         for m in range(2, n):
-            c = _compose_lists(self.coeffs, g, m + 1)[m]
-            g[m] = -c / h1
+            power = _mul_lists(power, phi, n - 1)
+            g.append(power[m - 1] / m)
         return Series(g)
 
 

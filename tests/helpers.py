@@ -1,7 +1,8 @@
 """Deliberately naive reference implementations used as test oracles.
 
 Everything here trades speed for obviousness: cofactor determinants,
-direct summation formulas, and point-evaluation of polynomials.  The
+direct summation formulas, point-evaluation of polynomials, untruncated
+Horner composition and coefficient-by-coefficient series reversion.  The
 library must agree with these on every tested input.
 """
 
@@ -47,3 +48,35 @@ def poly_eval(coeffs, t):
     for c in reversed(coeffs):
         acc = acc * t + c
     return acc
+
+
+
+def naive_compose(f, g, n):
+    """f(g(x)) to n terms by Horner, every product carried to n terms.
+
+    Coefficient lists in, a list of exactly n Fractions out; g[0] must be 0.
+    """
+    out = [Fraction(0)] * n
+    for k in range(min(len(f), n) - 1, -1, -1):
+        prod = [Fraction(0)] * n
+        for i, oi in enumerate(out):
+            for j in range(min(len(g), n - i)):
+                prod[i + j] += oi * g[j]
+        prod[0] += f[k]
+        out = prod
+    return out
+
+
+def naive_revert(f):
+    """Compositional inverse of f (f[0] = 0, f[1] != 0), same length.
+
+    Solved coefficient by coefficient: in f(g(x)) = x only the linear term
+    of f touches the newest unknown g[m], so g[m] = -[x^m] f(g) / f[1]
+    with g[m] still 0.
+    """
+    n = len(f)
+    g = [Fraction(0)] * n
+    g[1] = 1 / Fraction(f[1])
+    for m in range(2, n):
+        g[m] = -naive_compose(f, g, m + 1)[m] / f[1]
+    return g

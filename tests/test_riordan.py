@@ -41,6 +41,16 @@ def test_binomial_powers():
     assert riordan.binomial_power(0, 6) == riordan.identity(6)
 
 
+def test_equal_arrays_hash_equal():
+    assert riordan.binomial(6) == riordan.binomial(4)
+    assert len({riordan.binomial(6), riordan.binomial(4)}) == 1
+    # Order 1 compares h at x^0 only, so h[1] may differ between equal arrays.
+    a = riordan.RiordanArray(series.one(1), series.x(2))
+    b = riordan.RiordanArray(series.one(1), series.poly([0, 3], 2))
+    assert a == b
+    assert hash(a) == hash(b)
+
+
 def test_to_matrix_needs_enough_order():
     with pytest.raises(InsufficientOrder):
         riordan.binomial(4).to_matrix(5)
