@@ -100,11 +100,7 @@ def coefficient_riordan_check(r: int, count: int):
     rows = [[Fraction(1)]]
     for d in range(1, count):
         rows.append(char_poly(terms, d))
-    base = riordan.RiordanArray(
-        series.rational([1], [1, r], count + 1),
-        series.rational([0, 1], [1, r + 1, r], count + 1),
-    )
-    if rows != base.to_matrix(count):
+    if rows != riordan.coefficient_array(r, count + 1).to_matrix(count):
         raise RuntimeError("characteristic rows do not match the inverse array")
     return rows
 

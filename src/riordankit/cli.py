@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import production as production_mod
-from . import riordan, sequences, series, verify
+from . import riordan, sequences, verify
 from . import berlekamp, hankel
 from .errors import (
     IndexOutOfTriangle,
@@ -96,13 +96,6 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be a non-negative integer")
-    return value
-
-
 def _named_array(name: str, r: int, order: int):
     if name == "binomial":
         return riordan.binomial(order)
@@ -113,10 +106,7 @@ def _named_array(name: str, r: int, order: int):
     if name == "ap":
         return production_mod.a_p(r, order)
     if name == "coefficient":
-        return riordan.RiordanArray(
-            series.rational([1], [1, r], order),
-            series.rational([0, 1], [1, r + 1, r], order),
-        )
+        return riordan.coefficient_array(r, order)
     raise UnsupportedParameter(f"unknown array {name!r}")
 
 
@@ -143,83 +133,56 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _hankel_params(args, **extra):
-    params = {"family": args.family or "stdin"}
+def _hankel_emit(args, needed: int, params: dict, result_of) -> int:
+    """Read the first ``needed`` terms and emit the envelope shared by every
+    ``hankel`` action: the terms, the parameters, and ``result_of(terms)``."""
+    terms = _terms_for(args, needed)[:needed]
+    result = result_of(terms)
+    head = {"family": args.family or "stdin"}
     if args.family is not None:
-        params["r"] = str(args.r)
-    params.update({k: str(v) for k, v in extra.items()})
-    return params
+        head["r"] = str(args.r)
+    head.update({k: str(v) for k, v in params.items()})
+    _emit_json({"input": _str_list(terms), "params": head, "result": result})
+    return 0
 
 
 def cmd_hankel_transform(args) -> int:
-    needed = 2 * args.count - 1
-    terms = _terms_for(args, needed)[:needed]
-    values = hankel.hankel_transform(terms, args.count, method=args.method)
-    _emit_json(
-        {
-            "input": _str_list(terms),
-            "params": _hankel_params(args, count=args.count, method=args.method),
-            "result": {"values": _str_list(values)},
-        }
-    )
-    return 0
+    def result_of(terms):
+        values = hankel.hankel_transform(terms, args.count, method=args.method)
+        return {"values": _str_list(values)}
+
+    params = {"count": args.count, "method": args.method}
+    return _hankel_emit(args, 2 * args.count - 1, params, result_of)
 
 
 def cmd_hankel_ldl(args) -> int:
-    needed = 2 * args.size - 1
-    terms = _terms_for(args, needed)[:needed]
-    dec = hankel.ldl(hankel.hankel_matrix(terms, args.size))
-    _emit_json(
-        {
-            "input": _str_list(terms),
-            "params": _hankel_params(args, size=args.size),
-            "result": {"l": _str_rows(dec.l), "d": _str_list(dec.d)},
-        }
-    )
-    return 0
+    def result_of(terms):
+        dec = hankel.ldl(hankel.hankel_matrix(terms, args.size))
+        return {"l": _str_rows(dec.l), "d": _str_list(dec.d)}
+
+    return _hankel_emit(args, 2 * args.size - 1, {"size": args.size}, result_of)
 
 
 def cmd_hankel_bm(args) -> int:
-    needed = 2 * args.rows
-    terms = _terms_for(args, needed)[:needed]
-    rows = berlekamp.bm_triangle(terms, args.rows)
-    _emit_json(
-        {
-            "input": _str_list(terms),
-            "params": _hankel_params(args, rows=args.rows),
-            "result": {"rows": _str_rows(rows)},
-        }
-    )
-    return 0
+    def result_of(terms):
+        return {"rows": _str_rows(berlekamp.bm_triangle(terms, args.rows))}
+
+    return _hankel_emit(args, 2 * args.rows, {"rows": args.rows}, result_of)
 
 
 def cmd_hankel_charpoly(args) -> int:
-    needed = 2 * args.size
-    terms = _terms_for(args, needed)[:needed]
-    coeffs = berlekamp.char_poly(terms, args.size)
-    _emit_json(
-        {
-            "input": _str_list(terms),
-            "params": _hankel_params(args, size=args.size),
-            "result": {"coefficients": _str_list(coeffs)},
-        }
-    )
-    return 0
+    def result_of(terms):
+        return {"coefficients": _str_list(berlekamp.char_poly(terms, args.size))}
+
+    return _hankel_emit(args, 2 * args.size, {"size": args.size}, result_of)
 
 
 def cmd_hankel_production(args) -> int:
-    needed = 2 * args.size + 1
-    terms = _terms_for(args, needed)[:needed]
-    dec = hankel.ldl(hankel.hankel_matrix(terms, args.size + 1))
-    rows = production_mod.production_matrix(dec.l)
-    _emit_json(
-        {
-            "input": _str_list(terms),
-            "params": _hankel_params(args, size=args.size),
-            "result": {"rows": _str_rows(rows)},
-        }
-    )
-    return 0
+    def result_of(terms):
+        dec = hankel.ldl(hankel.hankel_matrix(terms, args.size + 1))
+        return {"rows": _str_rows(production_mod.production_matrix(dec.l))}
+
+    return _hankel_emit(args, 2 * args.size + 1, {"size": args.size}, result_of)
 
 
 def cmd_riordan(args) -> int:
@@ -351,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--scope", action="append",
                      choices=("all",) + verify.SCOPES, default=None)
     ver.add_argument("--r-max", type=_positive_int, default=4)
-    ver.add_argument("--n-max", type=_nonnegative_int, default=8)
+    ver.add_argument("--n-max", type=_positive_int, default=8)
     ver.add_argument("--parallel", action="store_true")
     ver.set_defaults(func=cmd_verify)
 

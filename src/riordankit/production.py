@@ -88,8 +88,7 @@ def a_p(r: int, order: int) -> RiordanArray:
         series.one(n),
         series.rational([0, 1, -1], [r, -(r - 1)], n),
     )
-    alt = base.inverse()
-    if direct.to_matrix(order) != alt.to_matrix(order):
+    if direct != base.inverse():
         raise RuntimeError("production array: closed form and inverse form disagree")
     rebuilt = matrix_from_production(p_catalan(r, order), order)
     if pad_square(direct.to_matrix(order)) != rebuilt:
@@ -110,8 +109,6 @@ def stieltjes_bridge(r: int, order: int):
     b = riordan.binomial(n)
     scale = RiordanArray(series.one(n), series.poly([0, Fraction(1, r)], n))
     bridged = ap.multiply(b).multiply(scale)
-    rows = bridged.to_matrix(order)
-    expected = riordan.l_catalan(r, order).to_matrix(order)
-    if rows != expected:
+    if bridged != riordan.l_catalan(r, order):
         raise RuntimeError("bridge product does not match the Catalan array")
-    return rows
+    return bridged.to_matrix(order)

@@ -141,22 +141,28 @@ def l_central(r: int, order: int) -> RiordanArray:
         series.rational([1, 0, -r], [1, r + 1, r], n),
         series.rational([0, 1], [1, r + 1, r], n),
     )
-    alt = base.inverse()
-    if direct.to_matrix(order) != alt.to_matrix(order):
+    if direct != base.inverse():
         raise RuntimeError("central array: closed form and inverse form disagree")
     return RiordanArray(direct.d.truncate(order), direct.h.truncate(order))
+
+
+def coefficient_array(r: int, order: int) -> RiordanArray:
+    """(1/(1+rx), x/(1+(r+1)x+rx^2)): its rows are the characteristic
+    coefficients of the generalized Catalan family, and its inverse is
+    ``l_catalan``."""
+    return RiordanArray(
+        series.rational([1], [1, r], order),
+        series.rational([0, 1], [1, r + 1, r], order),
+    )
 
 
 @lru_cache(maxsize=None)
 def l_catalan(r: int, order: int) -> RiordanArray:
     """Array whose column 0 is the generalized Catalan family for r:
-    the inverse of (1/(1+rx), x/(1+(r+1)x+rx^2))."""
+    the inverse of ``coefficient_array(r)``."""
     if r < 1:
         raise UnsupportedParameter("r must be at least 1")
-    return RiordanArray(
-        series.rational([1], [1, r], order),
-        series.rational([0, 1], [1, r + 1, r], order),
-    ).inverse()
+    return coefficient_array(r, order).inverse()
 
 
 def central_l_entry(n: int, k: int, r: int, method: str = "sumA") -> int:

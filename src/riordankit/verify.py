@@ -1,9 +1,15 @@
 """Registry of identity checks behind the ``verify`` CLI command.
 
 Every check is a pure module-level function taking the grid bounds
-(r_max, n_max) and returning a list of CheckResult records.  Results are
-sorted by id, so reports are deterministic whether or not the checks were
-fanned out across worker processes.
+(r_max, n_max), both at least 1, and returning a list of CheckResult
+records.  Results are sorted by id, so reports are deterministic whether or
+not the checks were fanned out across worker processes.
+
+A check records one value against its expected value with ``_prop``.  A
+claim over a whole grid uses ``_all``: it passes a generator of failure
+descriptions, and the record's actual is the first counterexample found,
+or the claim's ``holds`` text when there is none.  A construction that
+asserts its own identities is run under ``_guard``.
 """
 
 from __future__ import annotations
@@ -11,20 +17,20 @@ from __future__ import annotations
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import comb
+from operator import mul
 
 from . import berlekamp, hankel, linalg, production, riordan, sequences, series
 
 SCOPES = ("series", "sequences", "riordan", "hankel", "production", "berlekamp")
 
-_REGISTRY: list = []
-_BY_NAME: dict = {}
+_REGISTRY: dict = {}
 
 
 def check(scope):
     def deco(fn):
-        _REGISTRY.append((scope, fn))
-        _BY_NAME[fn.__name__] = fn
+        _REGISTRY[fn.__name__] = (scope, fn)
         return fn
 
     return deco
@@ -68,6 +74,13 @@ def _prop(out, cid, claim, expected, actual, **params):
     )
 
 
+def _all(out, cid, claim, holds, failures, **params):
+    """Record a grid search: ``failures`` lazily yields a description of
+    each counterexample, and only the first is drawn, so the search stops
+    there.  It passes iff there is none; the actual is then ``holds``."""
+    _prop(out, cid, claim, holds, next(iter(failures), holds), **params)
+
+
 def _guard(out, cid, claim, fn, **params):
     """Run a self-asserting construction; pass iff it does not raise."""
     try:
@@ -97,34 +110,24 @@ def check_series_roundtrips(r_max, n_max):
             cs[0] = Fraction(1)
         return series.Series(cs)
 
-    bad = None
-    for i in range(20):
-        a = rand_series(10, unit=False)
-        b = rand_series(10, unit=True)
-        if (a * b) / b != a:
-            bad = i
-            break
-    _prop(
+    pairs = (
+        (rand_series(10, unit=False), rand_series(10, unit=True)) for _ in range(20)
+    )
+    _all(
         out,
         "series-div-mul-roundtrip",
         "(a*b)/b = a for random series with unit-constant b",
         "all 20 cases",
-        "all 20 cases" if bad is None else f"case {bad} failed",
+        (f"case {i} failed" for i, (a, b) in enumerate(pairs) if (a * b) / b != a),
         cases=20,
     )
-    bad = None
-    for i in range(50):
-        a = rand_series(8, unit=True)
-        s = a.sqrt()
-        if s * s != a:
-            bad = i
-            break
-    _prop(
+    squares = (rand_series(8, unit=True) for _ in range(50))
+    _all(
         out,
         "series-sqrt-square",
         "sqrt(a)^2 = a for random series with constant term 1",
         "all 50 cases",
-        "all 50 cases" if bad is None else f"case {bad} failed",
+        (f"case {i} failed" for i, a in enumerate(squares) if (s := a.sqrt()) * s != a),
         cases=50,
     )
     return out
@@ -234,20 +237,13 @@ def check_sequence_tables(r_max, n_max):
 def check_triangle(r_max, n_max):
     out = []
     for r in _rs(r_max):
-        bad = None
-        for n in range(n_max + 1):
-            for k in range(n + 1):
-                if sequences.triangle_T(n, k, r) != sequences.triangle_T(n, n - k, r):
-                    bad = (n, k)
-                    break
-            if bad:
-                break
-        _prop(
+        _all(
             out,
             f"triangle-symmetry-r{r}",
             "T(n, k; r) = T(n, n-k; r)",
             "symmetric",
-            "symmetric" if bad is None else f"mismatch at {bad}",
+            (f"mismatch at {(n, k)}" for n in range(n_max + 1) for k in range(n + 1)
+             if sequences.triangle_T(n, k, r) != sequences.triangle_T(n, n - k, r)),
             r=r,
             n_max=n_max,
         )
@@ -274,18 +270,13 @@ def check_b_methods(r_max, n_max):
     out = []
     methods = ("gf", "difference", "binomial", "floor")
     for r in _rs(r_max):
-        bad = None
-        for n in range(n_max + 1):
-            vals = {m: sequences.b_seq(n, r, m) for m in methods}
-            if len(set(vals.values())) != 1:
-                bad = (n, vals)
-                break
-        _prop(
+        _all(
             out,
             f"b-methods-agree-r{r}",
             "all four b-sequence formulas agree",
             "single value per n",
-            "single value per n" if bad is None else f"split at n={bad[0]}",
+            (f"split at n={n}" for n in range(n_max + 1)
+             if len({sequences.b_seq(n, r, m) for m in methods}) != 1),
             r=r,
             n_max=n_max,
         )
@@ -316,22 +307,15 @@ def check_closed_form_helpers(r_max, n_max):
             r=2,
         )
     for r in _rs(r_max):
-        bad = None
-        for n in range(n_max + 1):
-            direct = sequences.central(n, r)
-            via_egf = sum(
-                comb(n, 2 * k) * comb(2 * k, k) * r**k * (r + 1) ** (n - 2 * k)
-                for k in range(n // 2 + 1)
-            )
-            if direct != via_egf:
-                bad = n
-                break
-        _prop(
+        _all(
             out,
             f"central-egf-identity-r{r}",
             "central coefficients match their exponential-form expansion",
             "equal for all n",
-            "equal for all n" if bad is None else f"differs at n={bad}",
+            (f"differs at n={n}" for n in range(n_max + 1)
+             if sequences.central(n, r) != sum(
+                 comb(n, 2 * k) * comb(2 * k, k) * r**k * (r + 1) ** (n - 2 * k)
+                 for k in range(n // 2 + 1))),
             r=r,
             n_max=n_max,
         )
@@ -413,6 +397,7 @@ def check_riordan_group_laws(r_max, n_max):
     order = 12
     rng = random.Random(91040)
     b = riordan.binomial(order)
+    b_rows = linalg.pad_square(b.to_matrix(order))
     ident = linalg.identity(order)
     for r in _rs(r_max):
         named = [
@@ -421,15 +406,13 @@ def check_riordan_group_laws(r_max, n_max):
             ("ap", production.a_p(r, order)),
         ]
         for name, arr in named:
+            rows = linalg.pad_square(arr.to_matrix(order))
             product = arr.multiply(b)
             _prop(
                 out,
                 f"riordan-product-law-{name}-r{r}",
                 "the matrix of a product is the product of the matrices",
-                linalg.mat_mul(
-                    linalg.pad_square(arr.to_matrix(order)),
-                    linalg.pad_square(b.to_matrix(order)),
-                ),
+                linalg.mat_mul(rows, b_rows),
                 linalg.pad_square(product.to_matrix(order)),
                 r=r,
                 order=order,
@@ -440,10 +423,7 @@ def check_riordan_group_laws(r_max, n_max):
                 f"riordan-inverse-law-{name}-r{r}",
                 "an array times its group inverse is the identity matrix",
                 ident,
-                linalg.mat_mul(
-                    linalg.pad_square(arr.to_matrix(order)),
-                    linalg.pad_square(inv.to_matrix(order)),
-                ),
+                linalg.mat_mul(rows, linalg.pad_square(inv.to_matrix(order))),
                 r=r,
                 order=order,
             )
@@ -452,7 +432,7 @@ def check_riordan_group_laws(r_max, n_max):
                 out,
                 f"riordan-fundamental-{name}-r{r}",
                 "acting via d*(f o h) equals the matrix-vector product",
-                linalg.mat_vec(linalg.pad_square(arr.to_matrix(order)), seq[:order]),
+                linalg.mat_vec(rows, seq[:order]),
                 arr.apply(seq)[:order],
                 r=r,
                 order=order,
@@ -476,26 +456,16 @@ def check_riordan_columns(r_max, n_max):
             r=r,
             dim=dim,
         )
-        bad = None
-        for n in range(dim):
-            for k in range(n + 1):
-                entry = rows[n][k]
-                if not (
-                    entry
-                    == riordan.central_l_entry(n, k, r, "sumA")
-                    == riordan.central_l_entry(n, k, r, "sumB")
-                    == riordan.egf_column_coeff(n, k, r)
-                ):
-                    bad = (n, k)
-                    break
-            if bad:
-                break
-        _prop(
+        _all(
             out,
             f"l-central-entries-r{r}",
             "matrix entries, both double sums, and the e.g.f. coefficients agree",
             "all four routes equal",
-            "all four routes equal" if bad is None else f"mismatch at {bad}",
+            (f"mismatch at {(n, k)}" for n in range(dim) for k in range(n + 1)
+             if not (rows[n][k]
+                     == riordan.central_l_entry(n, k, r, "sumA")
+                     == riordan.central_l_entry(n, k, r, "sumB")
+                     == riordan.egf_column_coeff(n, k, r))),
             r=r,
             dim=dim,
         )
@@ -572,6 +542,14 @@ def check_binomial_invariance(r_max, n_max):
 @check("hankel")
 def check_ldl(r_max, n_max):
     out = []
+    # family -> (diagonal entry n, claim on the diagonal, unit factor, word)
+    named = {
+        "central": (lambda r, n: 2 * r**n if n else 1,
+                    "the central-family diagonal is 1, 2r, 2r^2, ...",
+                    riordan.l_central, "central"),
+        "catalan": (lambda r, n: r**n, "the Catalan-family diagonal is r^n",
+                    riordan.l_catalan, "Catalan"),
+    }
     for name in ("central", "catalan", "sum"):
         for r in _rs(r_max):
             m = _ht_grid_cap(name, n_max) + 1
@@ -588,59 +566,37 @@ def check_ldl(r_max, n_max):
                 r=r,
                 size=m,
             )
-            prods = []
-            acc = Fraction(1)
-            for dv in dec.d:
-                acc *= dv
-                prods.append(acc)
             _prop(
                 out,
                 f"ldl-bareiss-agreement-{name}-r{r}",
                 "partial products of the LDL^T diagonal equal the Bareiss minors",
-                [hankel.bareiss_det(hankel.hankel_matrix(terms, n + 1)) for n in range(m)],
-                prods,
+                hankel.hankel_transform(terms, m, method="bareiss"),
+                list(accumulate(dec.d, mul)),
                 family=name,
                 r=r,
                 size=m,
             )
-            if name == "central":
-                _prop(
-                    out,
-                    f"ldl-dfactor-central-r{r}",
-                    "the central-family diagonal is 1, 2r, 2r^2, ...",
-                    [2 * r**n if n else 1 for n in range(m)],
-                    dec.d,
-                    r=r,
-                    size=m,
-                )
-                _prop(
-                    out,
-                    f"ldl-lfactor-central-r{r}",
-                    "the unit factor of the central family is the central array",
-                    riordan.l_central(r, m).to_matrix(m),
-                    dec.l,
-                    r=r,
-                    size=m,
-                )
-            if name == "catalan":
-                _prop(
-                    out,
-                    f"ldl-dfactor-catalan-r{r}",
-                    "the Catalan-family diagonal is r^n",
-                    [r**n for n in range(m)],
-                    dec.d,
-                    r=r,
-                    size=m,
-                )
-                _prop(
-                    out,
-                    f"ldl-lfactor-catalan-r{r}",
-                    "the unit factor of the Catalan family is the Catalan array",
-                    riordan.l_catalan(r, m).to_matrix(m),
-                    dec.l,
-                    r=r,
-                    size=m,
-                )
+            if name not in named:
+                continue
+            diagonal, claim, array, word = named[name]
+            _prop(
+                out,
+                f"ldl-dfactor-{name}-r{r}",
+                claim,
+                [diagonal(r, n) for n in range(m)],
+                dec.d,
+                r=r,
+                size=m,
+            )
+            _prop(
+                out,
+                f"ldl-lfactor-{name}-r{r}",
+                f"the unit factor of the {word} family is the {word} array",
+                array(r, m).to_matrix(m),
+                dec.l,
+                r=r,
+                size=m,
+            )
     central2 = sequences.family_terms("central", 7, 2)
     _prop(
         out,
@@ -714,73 +670,46 @@ def check_orthogonality(r_max, n_max):
     return out
 
 
+def _sum_factor_inverse(r, m):
+    """Inverse of the unit LDL^T factor of the m x m sum-family Hankel matrix."""
+    terms = sequences.family_terms("sum", 2 * m - 1, r)
+    dec = hankel.ldl(hankel.hankel_matrix(terms, m))
+    return linalg.lower_tri_inverse(linalg.pad_square(dec.l))
+
+
 @check("hankel")
 def check_scaled_inverse(r_max, n_max):
     out = []
     m = min(n_max, 8) + 1
     for r in _rs(r_max, 3):
-        terms = sequences.family_terms("sum", 2 * m - 1, r)
-        dec = hankel.ldl(hankel.hankel_matrix(terms, m))
-        inv = linalg.lower_tri_inverse(linalg.pad_square(dec.l))
-        bad = None
-        for n in range(m):
-            scale = sequences.b_seq(n, r)
-            row = [scale * inv[n][k] for k in range(n + 1)]
-            if any(e.denominator != 1 for e in row) or row[n] != scale:
-                bad = n
-                break
-        _prop(
+        inv = _sum_factor_inverse(r, m)
+        rows = ((n, sequences.b_seq(n, r), inv[n][: n + 1]) for n in range(m))
+        _all(
             out,
             f"scaled-inverse-integrality-r{r}",
             "b(n; r) times row n of the inverse unit factor is integral "
             "with diagonal b(n; r)",
             "integral rows",
-            "integral rows" if bad is None else f"fractional row {bad}",
+            (f"fractional row {n}" for n, scale, inv_row in rows
+             if any((scale * e).denominator != 1 for e in inv_row)
+             or scale * inv_row[n] != scale),
             r=r,
             size=m,
         )
-    sum1 = sequences.family_terms("sum", 7, 1)
-    inv1 = linalg.lower_tri_inverse(
-        linalg.pad_square(hankel.ldl(hankel.hankel_matrix(sum1, 4)).l)
-    )
-    scaled1 = [
-        [sequences.b_seq(n, 1) * inv1[n][k] for k in range(n + 1)] for n in range(4)
-    ]
-    _prop(
-        out,
-        "scaled-inverse-display-r1",
-        "the scaled inverse factor at r = 1 is the expected integer triangle",
-        [[1], [-3, 2], [8, -17, 5], [-21, 95, -70, 13]],
-        scaled1,
-        r=1,
-    )
-    sum2 = sequences.family_terms("sum", 7, 2)
-    inv2 = linalg.lower_tri_inverse(
-        linalg.pad_square(hankel.ldl(hankel.hankel_matrix(sum2, 4)).l)
-    )
-    scaled2 = [
-        [sequences.b_seq(n, 2) * inv2[n][k] for k in range(n + 1)] for n in range(4)
-    ]
-    _prop(
-        out,
-        "scaled-inverse-display-r2",
-        "the scaled inverse factor at r = 2 is the expected integer triangle",
-        [[1], [-8, 3], [56, -56, 10], [-384, 690, -292, 34]],
-        scaled2,
-        r=2,
-    )
-    scaled2a = [
-        [sequences.interleaved_pell(n) * inv2[n][k] for k in range(n + 1)]
-        for n in range(4)
-    ]
-    _prop(
-        out,
-        "scaled-inverse-interleaved-r2",
-        "scaling instead by the interleaved Pell terms also lands on integers",
-        [[1], [-8, 3], [28, -28, 5], [-192, 345, -146, 17]],
-        scaled2a,
-        r=2,
-    )
+    for cid, r, scale, claim, expected in (
+        ("display-r1", 1, sequences.b_seq,
+         "the scaled inverse factor at r = 1 is the expected integer triangle",
+         [[1], [-3, 2], [8, -17, 5], [-21, 95, -70, 13]]),
+        ("display-r2", 2, sequences.b_seq,
+         "the scaled inverse factor at r = 2 is the expected integer triangle",
+         [[1], [-8, 3], [56, -56, 10], [-384, 690, -292, 34]]),
+        ("interleaved-r2", 2, lambda n, r: sequences.interleaved_pell(n),
+         "scaling instead by the interleaved Pell terms also lands on integers",
+         [[1], [-8, 3], [28, -28, 5], [-192, 345, -146, 17]]),
+    ):
+        inv = _sum_factor_inverse(r, 4)
+        scaled = [[scale(n, r) * e for e in inv[n][: n + 1]] for n in range(4)]
+        _prop(out, f"scaled-inverse-{cid}", claim, expected, scaled, r=r)
     return out
 
 
@@ -992,21 +921,13 @@ def check_bm_laws(r_max, n_max):
     for r in _rs(r_max):
         terms = sequences.family_terms("catalan", 2 * cap, r)
         rows = berlekamp.bm_triangle(terms, cap)
-        bad = None
-        for d in range(1, cap + 1):
-            g = rows[d - 1]
-            for n in range(d):
-                if sum(g[i] * terms[n + i] for i in range(d)) != terms[n + d]:
-                    bad = (d, n)
-                    break
-            if bad:
-                break
-        _prop(
+        _all(
             out,
             f"bm-recurrence-window-r{r}",
             "each solved window reproduces its defining recurrence rows",
             "recurrence holds on the window",
-            "recurrence holds on the window" if bad is None else f"fails at {bad}",
+            (f"fails at {(d, n)}" for d, g in enumerate(rows, 1) for n in range(d)
+             if sum(g[i] * terms[n + i] for i in range(d)) != terms[n + d]),
             r=r,
             rows=cap,
         )
@@ -1044,7 +965,7 @@ def check_bm_laws(r_max, n_max):
 
 def _invoke(job):
     name, r_max, n_max = job
-    return _BY_NAME[name](r_max, n_max)
+    return _REGISTRY[name][1](r_max, n_max)
 
 
 def run_checks(scopes, r_max: int, n_max: int, parallel: bool = False) -> VerifyReport:
@@ -1054,15 +975,17 @@ def run_checks(scopes, r_max: int, n_max: int, parallel: bool = False) -> Verify
     unknown = wanted - set(SCOPES)
     if unknown:
         raise ValueError(f"unknown scope(s): {', '.join(sorted(unknown))}")
-    selected = [fn for scope, fn in _REGISTRY if scope in wanted]
+    if r_max < 1 or n_max < 1:
+        raise ValueError("r_max and n_max must be at least 1")
+    jobs = [(name, r_max, n_max) for name, (scope, _) in _REGISTRY.items()
+            if scope in wanted]
     if parallel:
         from concurrent.futures import ProcessPoolExecutor
 
-        jobs = [(fn.__name__, r_max, n_max) for fn in selected]
         with ProcessPoolExecutor() as pool:
             batches = list(pool.map(_invoke, jobs))
     else:
-        batches = [fn(r_max, n_max) for fn in selected]
+        batches = list(map(_invoke, jobs))
     results = [res for batch in batches for res in batch]
     results.sort(key=lambda res: res.id)
     ids = [res.id for res in results]

@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import riordankit
 from riordankit import cli
 
 
@@ -284,6 +286,15 @@ def test_verify_rejects_unknown_scope(capsys):
     assert run_cli(capsys, "verify", "--scope", "curves")[0] == 2
 
 
+def test_verify_needs_a_positive_n_max(capsys):
+    code, out, err = run_cli(capsys, "verify", "--n-max", "0")
+    assert code == 2
+    assert out == ""
+    assert "must be a positive integer" in err
+    assert "Traceback" not in err
+    assert run_cli(capsys, "verify", "--n-max", "1")[0] == 0
+
+
 def test_all_json_surfaces_are_string_valued(capsys):
     surfaces = [
         ("generate", "central", "--r", "2", "--n", "4"),
@@ -301,10 +312,14 @@ def test_all_json_surfaces_are_string_valued(capsys):
 
 
 def test_module_entry_point():
+    # The child must import the package under test, wherever pytest found it.
+    src = os.path.dirname(os.path.dirname(riordankit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-m", "riordankit", "generate", "central", "--n", "4"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["values"] == ["1", "2", "6", "20"]
