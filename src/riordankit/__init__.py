@@ -6,6 +6,7 @@ equality.
 """
 
 from .errors import (
+    CrossCheckFailed,
     IndexOutOfTriangle,
     InsufficientOrder,
     InsufficientTerms,
@@ -43,6 +44,7 @@ from .berlekamp import bm_triangle, catalan_bm_term, char_poly, solve_bm
 __version__ = "0.1.0"
 
 __all__ = [
+    "CrossCheckFailed",
     "IndexOutOfTriangle",
     "InsufficientOrder",
     "InsufficientTerms",

@@ -15,8 +15,8 @@ from fractions import Fraction
 from math import comb
 
 from . import riordan, sequences, series
-from .errors import InsufficientTerms, SingularSystem
-from .hankel import hankel_matrix
+from .errors import CrossCheckFailed, InsufficientTerms, SingularSystem
+from .hankel import _chebyshev, hankel_matrix
 from .linalg import _back_substitute, _eliminate, solve
 
 
@@ -35,14 +35,24 @@ def bm_triangle(a, count: int):
     On a singular window the error carries the failing size and the rows
     already computed, which is usually the interesting diagnostic.
 
-    Window d is the first d rows, columns 0..d, of one elimination of the
-    block [a_(i+j)] without row swaps: every earlier window was solved, so
-    the first zero pivot is the first singular window.
+    The characteristic polynomial of window d is the monic orthogonal
+    polynomial pi_d of the moment pass, so row d-1 is -(the coefficients of
+    pi_d below x^d), built up by the three-term recurrence.  The pass stops
+    at the first vanishing leading minor, which is the first singular
+    window.
     """
     windows = max(0, min(count, len(a) // 2))
-    m = [[a[i + j] for j in range(windows + 1)] for i in range(windows)]
-    solved = _eliminate(m, windows, stop_at_zero=True)[1]
-    rows = [_back_substitute(m, d, d) for d in range(1, solved + 1)]
+    _, alpha, beta, solved = _chebyshev(a[: 2 * windows])
+    rows = []
+    before, pi = [], [Fraction(1)]
+    for k in range(solved):
+        nxt = [Fraction(0)] + pi
+        for i, c in enumerate(pi):
+            nxt[i] -= alpha[k] * c
+        for i, c in enumerate(before):
+            nxt[i] -= beta[k] * c
+        before, pi = pi, nxt
+        rows.append([-c for c in pi[:-1]])
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)
     if windows < count:
@@ -76,7 +86,7 @@ def companion_check(a, d: int):
         for j in range(d - 1):
             expected = Fraction(1 if i == j + 1 else 0)
             if m[i][j] != expected:
-                raise RuntimeError(f"companion structure broken at ({i}, {j})")
+                raise CrossCheckFailed(f"companion structure broken at ({i}, {j})")
     return m
 
 
@@ -101,7 +111,7 @@ def coefficient_riordan_check(r: int, count: int):
     for d in range(1, count):
         rows.append(char_poly(terms, d))
     if rows != riordan.coefficient_array(r, count + 1).to_matrix(count):
-        raise RuntimeError("characteristic rows do not match the inverse array")
+        raise CrossCheckFailed("characteristic rows do not match the inverse array")
     return rows
 
 
@@ -118,5 +128,5 @@ def bm_gf_check(r: int, count: int):
     terms = [sequences.gen_catalan(n, r) for n in range(2 * count)]
     expected = bm_triangle(terms, count)
     if table.rows != expected:
-        raise RuntimeError("generating function rows do not match the solved rows")
+        raise CrossCheckFailed("generating function rows do not match the solved rows")
     return table

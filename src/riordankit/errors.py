@@ -66,3 +66,7 @@ class SingularDiagonal(RiordanKitError, ArithmeticError):
 
 class IntegralityViolation(RiordanKitError, ArithmeticError):
     """An entry that is provably integral came out fractional."""
+
+
+class CrossCheckFailed(RiordanKitError, RuntimeError):
+    """Two independent routes to the same quantity disagree: a library bug."""

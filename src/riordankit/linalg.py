@@ -74,21 +74,19 @@ def _exact_div(a, b):
     return a / b
 
 
-def _eliminate(m, steps, stop_at_zero=False):
+def _eliminate(m, steps):
     """Fraction-free (Bareiss) elimination of m in place, over its first
     ``steps`` columns; m may be rectangular, and every later column is
     carried along.  Returns (sign, completed steps).
 
     With no row swap, pivot k is the leading (k+1)-minor (Sylvester's
     identity).  A zero pivot swaps in a lower row, flipping the sign, or
-    ends the pass when there is none or ``stop_at_zero`` is set.
+    ends the pass when there is none.
     """
     sign = 1
     prev = 1
     for k in range(steps):
         if m[k][k] == 0:
-            if stop_at_zero:
-                return sign, k
             for i in range(k + 1, len(m)):
                 if m[i][k] != 0:
                     m[k], m[i] = m[i], m[k]

@@ -3,7 +3,8 @@
 If A is lower-triangular with rows row_0, row_1, ..., its production
 matrix P satisfies row_(n+1) = row_n * P.  Extraction inverts that
 relation: P = A^(-1) * (A with its first row removed), truncated to the
-block the finite input can certify.
+block the finite input can certify, and found by forward substitution
+rather than by forming the inverse.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from . import riordan, series
-from .errors import UnsupportedParameter
-from .linalg import lower_tri_inverse, mat_mul, pad_square
+from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
+from .linalg import pad_square
 from .riordan import RiordanArray
 
 
@@ -22,14 +23,34 @@ def production_matrix(a_rows):
 
     Consumes an (N+1) x (N+1) block and returns the reliable N x N block
     of P; entries beyond that would need more of A than was supplied.
+    P solves L P = S, with L the leading N x N block and S rows 1..N, by
+    one forward substitution, row i of P being
+    (S_i - sum_(k<i) L[i][k] P_k) / L[i][i]; zero entries of L and of P
+    are skipped, so a banded P costs O(N^2).
     """
     full = pad_square(a_rows)
     n = len(full) - 1
     if n < 1:
         raise ValueError("need at least two rows to extract a production matrix")
-    leading = [row[:n] for row in full[:n]]
-    shifted = [full[i + 1][:n] for i in range(n)]
-    return mat_mul(lower_tri_inverse(leading), shifted)
+    for i in range(n):
+        if full[i][i] == 0:
+            raise SingularDiagonal(f"zero diagonal entry at index {i}")
+    p = []
+    nonzero = []
+    for i in range(n):
+        row = full[i + 1][:n]
+        li = full[i]
+        for k in range(i):
+            lik = li[k]
+            if lik:
+                for j, v in nonzero[k]:
+                    row[j] -= lik * v
+        if li[i] != 1:
+            scale = Fraction(1) / li[i]
+            row = [v * scale for v in row]
+        p.append(row)
+        nonzero.append([(j, v) for j, v in enumerate(row) if v])
+    return p
 
 
 def matrix_from_production(p, dim: int):
@@ -89,10 +110,12 @@ def a_p(r: int, order: int) -> RiordanArray:
         series.rational([0, 1, -1], [r, -(r - 1)], n),
     )
     if direct != base.inverse():
-        raise RuntimeError("production array: closed form and inverse form disagree")
+        raise CrossCheckFailed(
+            "production array: closed form and inverse form disagree"
+        )
     rebuilt = matrix_from_production(p_catalan(r, order), order)
     if pad_square(direct.to_matrix(order)) != rebuilt:
-        raise RuntimeError("production array: expansion and rebuild disagree")
+        raise CrossCheckFailed("production array: expansion and rebuild disagree")
     return RiordanArray(direct.d.truncate(order), direct.h.truncate(order))
 
 
@@ -110,5 +133,5 @@ def stieltjes_bridge(r: int, order: int):
     scale = RiordanArray(series.one(n), series.poly([0, Fraction(1, r)], n))
     bridged = ap.multiply(b).multiply(scale)
     if bridged != riordan.l_catalan(r, order):
-        raise RuntimeError("bridge product does not match the Catalan array")
+        raise CrossCheckFailed("bridge product does not match the Catalan array")
     return bridged.to_matrix(order)

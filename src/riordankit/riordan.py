@@ -14,7 +14,12 @@ from functools import lru_cache
 from math import comb
 
 from . import series
-from .errors import IndexOutOfTriangle, InsufficientOrder, UnsupportedParameter
+from .errors import (
+    CrossCheckFailed,
+    IndexOutOfTriangle,
+    InsufficientOrder,
+    UnsupportedParameter,
+)
 from .series import Series
 
 
@@ -142,7 +147,7 @@ def l_central(r: int, order: int) -> RiordanArray:
         series.rational([0, 1], [1, r + 1, r], n),
     )
     if direct != base.inverse():
-        raise RuntimeError("central array: closed form and inverse form disagree")
+        raise CrossCheckFailed("central array: closed form and inverse form disagree")
     return RiordanArray(direct.d.truncate(order), direct.h.truncate(order))
 
 

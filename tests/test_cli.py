@@ -210,6 +210,20 @@ def test_production_commands(capsys):
     assert json.loads(out)["rows"] == [["1"], ["2", "1"], ["6", "5", "1"]]
 
 
+def test_failed_cross_check_exits_one_without_a_traceback(capsys, monkeypatch):
+    # The bridge compares its product with l_catalan; make that disagree.
+    catalan = riordankit.riordan.l_catalan
+
+    def other_catalan(r, order):
+        return catalan(r + 1, order)
+
+    monkeypatch.setattr(riordankit.production.riordan, "l_catalan", other_catalan)
+    code, out, err = run_cli(capsys, "production", "bridge", "--r", "2", "--size", "4")
+    assert (code, out) == (1, "")
+    assert err == "error: bridge product does not match the Catalan array\n"
+    assert "Traceback" not in err
+
+
 def test_production_csv_rows(capsys):
     code, out, _ = run_cli(
         capsys, "production", "matrix", "--array", "ap", "--r", "2", "--size", "3",

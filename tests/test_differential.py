@@ -1,15 +1,24 @@
-"""Seeded differential tests: the single-pass elimination routes against
-per-window solves and cofactor determinants, on random, singular and
-too-short inputs.  Values must be equal; errors must agree in type,
-message, order/index and partial result."""
+"""Seeded differential tests: the moment pass and the single-pass
+elimination routes against per-window solves, cofactor determinants and
+dense elimination, and the forward-substitution production matrix against
+the inverse-times-shift product, on random, singular and too-short inputs.
+Values must be equal; errors must agree in type, message, order/index and
+partial result."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from riordankit import berlekamp, hankel, linalg
-from riordankit.errors import InsufficientTerms, SingularLeadingMinor, SingularSystem
+import pytest
+
+from riordankit import berlekamp, hankel, linalg, production
+from riordankit.errors import (
+    InsufficientTerms,
+    SingularDiagonal,
+    SingularLeadingMinor,
+    SingularSystem,
+)
 
 from helpers import det_cofactor
 
@@ -19,7 +28,12 @@ METHODS = ("ldl", "bareiss", "both", "spot")
 def outcome(fn, *args):
     try:
         return ("value", fn(*args))
-    except (InsufficientTerms, SingularLeadingMinor, SingularSystem) as exc:
+    except (
+        InsufficientTerms,
+        SingularDiagonal,
+        SingularLeadingMinor,
+        SingularSystem,
+    ) as exc:
         return (
             type(exc),
             str(exc),
@@ -93,6 +107,23 @@ def sequences_under_test(rng):
         yield a, count
 
 
+def fraction_sequences(rng):
+    """(terms, count) with proper fractions among the terms: random ones,
+    and moment sequences of few-atom measures with fractional weights."""
+    for _ in range(60):
+        count = rng.randint(1, 4)
+        length = 2 * count - rng.choice((0, 1, 1, 2))
+        if rng.randrange(2):
+            a = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(length)]
+        else:
+            atoms = [
+                (rng.randint(-2, 2), Fraction(rng.randint(1, 3), rng.randint(1, 4)))
+                for _ in range(rng.randint(1, 3))
+            ]
+            a = [sum(w * x**k for x, w in atoms) for k in range(length)]
+        yield a, count
+
+
 def test_recurrence_routes_match_per_window_solves():
     rng = random.Random(20060517)
     seen = set()
@@ -109,14 +140,73 @@ def test_recurrence_routes_match_per_window_solves():
 
 def test_hankel_methods_match_cofactor_minors():
     rng = random.Random(1968)
+    for inputs in (sequences_under_test, fraction_sequences):
+        seen = set()
+        for a, count in inputs(rng):
+            for method in METHODS:
+                expected = outcome(cofactor_transform, a, count, method)
+                actual = outcome(hankel.hankel_transform, a, count, method)
+                assert actual == expected, (a, count, method)
+                seen.add(expected[0])
+        assert seen == {"value", InsufficientTerms, SingularLeadingMinor}
+
+
+def test_hankel_ldl_matches_dense_elimination():
+    rng = random.Random(1880)
     seen = set()
     for a, count in sequences_under_test(rng):
-        for method in METHODS:
-            expected = outcome(cofactor_transform, a, count, method)
-            actual = outcome(hankel.hankel_transform, a, count, method)
-            assert actual == expected, (a, count, method)
-            seen.add(expected[0])
+        expected = outcome(lambda: hankel._ldl_dense(hankel.hankel_matrix(a, count)))
+        assert outcome(lambda: hankel.ldl(hankel.hankel_matrix(a, count))) == expected
+        seen.add(expected[0])
     assert seen == {"value", InsufficientTerms, SingularLeadingMinor}
+
+
+def test_ldl_of_a_symmetric_non_hankel_matrix():
+    rng = random.Random(2718)
+    singular = 0
+    for _ in range(100):
+        n = rng.randint(3, 5)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = rng.choice((0, 1, -1, 2, 3, Fraction(1, 2)))
+        m[1][1] = m[0][2] + 1  # so m is not Hankel
+        minors = [det_cofactor([row[: k + 1] for row in m[: k + 1]]) for k in range(n)]
+        if 0 in minors:
+            singular += 1
+            with pytest.raises(SingularLeadingMinor) as err:
+                hankel.ldl(m)
+            assert err.value.index == minors.index(0)
+            continue
+        dec = hankel.ldl(m)
+        assert dec.reconstruct() == m
+        assert [(len(row), row[-1]) for row in dec.l] == [(i + 1, 1) for i in range(n)]
+    assert singular > 0
+
+
+def inverse_times_shift(rows):
+    full = linalg.pad_square(rows)
+    n = len(full) - 1
+    leading = [row[:n] for row in full[:n]]
+    shifted = [full[i + 1][:n] for i in range(n)]
+    return linalg.mat_mul(linalg.lower_tri_inverse(leading), shifted)
+
+
+def test_production_matrix_matches_inverse_times_shift():
+    rng = random.Random(1991)
+    seen = set()
+    for _ in range(400):
+        size = rng.randint(2, 8)
+        entries = (0, 0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3))
+        rows = [
+            [rng.choice(entries) for _ in range(i)]
+            + [rng.choice((1, 1, 1, 2, -1, Fraction(3, 2), 0))]
+            for i in range(size)
+        ]
+        expected = outcome(inverse_times_shift, rows)
+        assert outcome(production.production_matrix, rows) == expected, rows
+        seen.add(expected[0])
+    assert seen == {"value", SingularDiagonal}
 
 
 def test_determinant_and_solve_match_cofactor_routes():

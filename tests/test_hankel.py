@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from riordankit import hankel, linalg, riordan, sequences
-from riordankit.errors import InsufficientTerms, SingularLeadingMinor
+from riordankit.errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
 
 from helpers import det_cofactor, naive_binomial_transform, naive_hankel_transform
 
@@ -157,6 +157,18 @@ def test_transform_zero_determinant_policy():
     assert hankel.hankel_transform(FIB, 4, method="bareiss") == [1, 1, 0, 0]
     with pytest.raises(SingularLeadingMinor):
         hankel.hankel_transform(FIB, 4, method="ldl")
+
+
+def test_transform_paths_disagreeing_is_a_cross_check_failure(monkeypatch):
+    def off_by_one(m, steps):
+        linalg._eliminate(m, steps)
+        m[2][2] += 1
+
+    monkeypatch.setattr(hankel, "_eliminate", off_by_one)
+    terms = sequences.family_terms("catalan", 7, 2)
+    with pytest.raises(CrossCheckFailed, match="disagree at order 2"):
+        hankel.hankel_transform(terms, 4, method="spot")
+    assert hankel.hankel_transform(terms, 4, method="ldl") == [1, 2, 8, 64]
 
 
 def test_binomial_transform_against_direct_sum():
