@@ -186,9 +186,11 @@ def cmd_hankel_production(args) -> int:
 
 
 def cmd_riordan(args) -> int:
+    if args.power != 1 and args.array != "binomial":
+        raise UnsupportedParameter("--power applies only to the binomial array")
     order = args.size
     arr = _named_array(args.array, args.r, order)
-    if args.array == "binomial" and args.power != 1:
+    if args.power != 1:
         arr = riordan.binomial_power(args.power, order)
     if args.inverse:
         arr = arr.inverse()

@@ -93,30 +93,12 @@ def p_catalan(r: int, dim: int):
 
 @lru_cache(maxsize=None)
 def a_p(r: int, order: int) -> RiordanArray:
-    """The array (1, x(1-x)/(r-(r-1)x))^(-1), also available in closed form
-    as (1, (1+(r-1)x-sqrt(1-2(r+1)x+(r-1)^2 x^2))/2).
-
-    Both constructions are run and compared, and the expansion is checked
-    against the rebuild from its own structured production matrix.
+    """The array (1, (1+(r-1)x-s)/2) with s as in ``riordan._central_root``:
+    the inverse of (1, x(1-x)/(r-(r-1)x)), generated by ``p_catalan(r)``.
     """
-    if r < 1:
-        raise UnsupportedParameter("r must be at least 1")
-    n = order + 2
-    s = series.poly([1, -2 * (r + 1), (r - 1) ** 2], n).sqrt()
-    h = (series.poly([1, r - 1], n) - s) / 2
-    direct = RiordanArray(series.one(n), h)
-    base = RiordanArray(
-        series.one(n),
-        series.rational([0, 1, -1], [r, -(r - 1)], n),
-    )
-    if direct != base.inverse():
-        raise CrossCheckFailed(
-            "production array: closed form and inverse form disagree"
-        )
-    rebuilt = matrix_from_production(p_catalan(r, order), order)
-    if pad_square(direct.to_matrix(order)) != rebuilt:
-        raise CrossCheckFailed("production array: expansion and rebuild disagree")
-    return RiordanArray(direct.d.truncate(order), direct.h.truncate(order))
+    s, _ = riordan._central_root(r, order)
+    h = (series.poly([1, r - 1], order) - s) / 2
+    return RiordanArray(series.one(order), h)
 
 
 def stieltjes_bridge(r: int, order: int):
@@ -125,13 +107,9 @@ def stieltjes_bridge(r: int, order: int):
     Returns the ragged matrix rows; the equality is the bridge between the
     production-matrix picture and the LDL^T factor of the Catalan family.
     """
-    if r < 1:
-        raise UnsupportedParameter("r must be at least 1")
-    ap = a_p(r, order + 2)
-    n = ap.order
-    b = riordan.binomial(n)
-    scale = RiordanArray(series.one(n), series.poly([0, Fraction(1, r)], n))
-    bridged = ap.multiply(b).multiply(scale)
+    ap = a_p(r, order)  # before Fraction(1, r): a_p rejects r < 1
+    scale = RiordanArray(series.one(order), series.poly([0, Fraction(1, r)], order))
+    bridged = ap.multiply(riordan.binomial(order)).multiply(scale)
     if bridged != riordan.l_catalan(r, order):
         raise CrossCheckFailed("bridge product does not match the Catalan array")
     return bridged.to_matrix(order)

@@ -15,7 +15,6 @@ from math import comb
 
 from . import series
 from .errors import (
-    CrossCheckFailed,
     IndexOutOfTriangle,
     InsufficientOrder,
     UnsupportedParameter,
@@ -122,33 +121,26 @@ def binomial_power(k: int, order: int) -> RiordanArray:
     )
 
 
-@lru_cache(maxsize=None)
-def l_central(r: int, order: int) -> RiordanArray:
-    """Array whose column 0 is the central-coefficient family for r.
-
-    Built two independent ways and cross-checked on construction: the
-    closed form
-
-        (1/sqrt(1-2(r+1)x+(r-1)^2 x^2),
-         (1-(r+1)x-sqrt(1-2(r+1)x+(r-1)^2 x^2)) / (2rx))
-
-    and the inverse of ((1-rx^2)/(1+(r+1)x+rx^2), x/(1+(r+1)x+rx^2)).
-    """
+def _central_root(r: int, order: int):
+    """s = sqrt(1-2(r+1)x+(r-1)^2 x^2) and h = (1-(r+1)x-s)/(2rx), both to
+    order terms: the one square root behind ``l_central``, ``l_catalan``
+    and ``production.a_p``.  h loses a term to the division by x, so s is
+    taken to order + 1 terms first."""
     if r < 1:
         raise UnsupportedParameter("r must be at least 1")
-    n = order + 2
-    s = series.poly([1, -2 * (r + 1), (r - 1) ** 2], n).sqrt()
-    d = 1 / s
-    numerator = series.poly([1, -(r + 1)], n) - s
-    h = numerator.div_x(1) / (2 * r)
-    direct = RiordanArray(d, h)
-    base = RiordanArray(
-        series.rational([1, 0, -r], [1, r + 1, r], n),
-        series.rational([0, 1], [1, r + 1, r], n),
-    )
-    if direct != base.inverse():
-        raise CrossCheckFailed("central array: closed form and inverse form disagree")
-    return RiordanArray(direct.d.truncate(order), direct.h.truncate(order))
+    s = series.poly([1, -2 * (r + 1), (r - 1) ** 2], order + 1).sqrt()
+    h = (series.poly([1, -(r + 1)], order + 1) - s).div_x(1) / (2 * r)
+    return s.truncate(order), h
+
+
+@lru_cache(maxsize=None)
+def l_central(r: int, order: int) -> RiordanArray:
+    """Array whose column 0 is the central-coefficient family for r:
+    (1/s, h) with s and h as in ``_central_root``, the inverse of
+    ((1-rx^2)/(1+(r+1)x+rx^2), x/(1+(r+1)x+rx^2)).
+    """
+    s, h = _central_root(r, order)
+    return RiordanArray(1 / s, h)
 
 
 def coefficient_array(r: int, order: int) -> RiordanArray:
@@ -164,10 +156,10 @@ def coefficient_array(r: int, order: int) -> RiordanArray:
 @lru_cache(maxsize=None)
 def l_catalan(r: int, order: int) -> RiordanArray:
     """Array whose column 0 is the generalized Catalan family for r:
-    the inverse of ``coefficient_array(r)``."""
-    if r < 1:
-        raise UnsupportedParameter("r must be at least 1")
-    return coefficient_array(r, order).inverse()
+    (1 + rh, h) with h as in ``_central_root``, the inverse of
+    ``coefficient_array(r)``."""
+    _, h = _central_root(r, order)
+    return RiordanArray(series.one(order) + r * h, h)
 
 
 def central_l_entry(n: int, k: int, r: int, method: str = "sumA") -> int:

@@ -2,14 +2,18 @@
 
 Everything here trades speed for obviousness: cofactor determinants,
 direct summation formulas, point-evaluation of polynomials, untruncated
-Horner composition and coefficient-by-coefficient series reversion.  The
-library must agree with these on every tested input.
+Horner composition, coefficient-by-coefficient series reversion, and the
+named Riordan arrays as group inverses of their rational partners or
+rebuilt from their production matrix.  The library must agree with these
+on every tested input.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import comb
+
+from riordankit import production, riordan, series
 
 
 def det_cofactor(m):
@@ -50,7 +54,6 @@ def poly_eval(coeffs, t):
     return acc
 
 
-
 def naive_compose(f, g, n):
     """f(g(x)) to n terms by Horner, every product carried to n terms.
 
@@ -80,3 +83,28 @@ def naive_revert(f):
     for m in range(2, n):
         g[m] = -naive_compose(f, g, m + 1)[m] / f[1]
     return g
+
+
+def central_by_inverse(r, order):
+    """``l_central`` as the inverse of ((1-rx^2)/q, x/q), q = 1+(r+1)x+rx^2."""
+    q = [1, r + 1, r]
+    return riordan.RiordanArray(
+        series.rational([1, 0, -r], q, order), series.rational([0, 1], q, order)
+    ).inverse()
+
+
+def catalan_by_inverse(r, order):
+    """``l_catalan`` as the inverse of ``coefficient_array``."""
+    return riordan.coefficient_array(r, order).inverse()
+
+
+def ap_by_inverse(r, order):
+    """``a_p`` as the inverse of (1, x(1-x)/(r-(r-1)x))."""
+    return riordan.RiordanArray(
+        series.one(order), series.rational([0, 1, -1], [r, -(r - 1)], order)
+    ).inverse()
+
+
+def ap_rows_by_production(r, dim):
+    """Leading dim x dim block of ``a_p`` rebuilt from ``p_catalan``."""
+    return production.matrix_from_production(production.p_catalan(r, dim), dim)

@@ -176,6 +176,31 @@ def test_riordan_expansion_and_inverse(capsys):
     assert json.loads(out)["rows"] == [["1"], ["-1", "1"], ["1", "-2", "1"]]
 
 
+def test_power_is_only_for_the_binomial_array(capsys):
+    for array in ("central", "catalan", "ap", "coefficient"):
+        code, out, err = run_cli(capsys, "riordan", array, "--power", "3")
+        assert (code, out) == (2, "")
+        assert err == "error: --power applies only to the binomial array\n"
+    code, out, _ = run_cli(capsys, "riordan", "binomial", "--power", "3", "--size", "2")
+    assert code == 0
+    assert json.loads(out)["rows"] == [["1"], ["3", "1"]]
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="--size 1 exits 2: a Riordan array of "
+                   "order 1 cannot carry h'(0)")
+@pytest.mark.parametrize(
+    "argv",
+    [["riordan", a] for a in ("catalan", "central", "ap", "binomial", "coefficient")]
+    + [["production", a] for a in ("array", "bridge")],
+    ids=" ".join,
+)
+def test_size_one_gives_the_identity_block(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--size", "1")
+    assert code == 0
+    assert json.loads(out)["rows"] == [["1"]]
+
+
 def test_riordan_csv_rows(capsys):
     code, out, _ = run_cli(
         capsys, "riordan", "central", "--r", "2", "--size", "3", "--format", "csv"
