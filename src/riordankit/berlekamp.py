@@ -12,7 +12,7 @@ matrix, and two cross-checks against Riordan machinery follow from it.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from . import riordan, sequences, series
 from .errors import CrossCheckFailed, InsufficientTerms, SingularSystem
@@ -20,13 +20,41 @@ from .hankel import _chebyshev, hankel_matrix
 from .linalg import _back_substitute, _eliminate, solve
 
 
-def solve_bm(a, d: int):
-    """Recurrence coefficients g for window size d; needs 2d terms."""
+def _window_terms(a, d: int):
     if d < 1:
         raise ValueError("window size must be at least 1")
     if len(a) < 2 * d:
         raise InsufficientTerms(f"need {2 * d} terms for window size {d}")
+
+
+def solve_bm(a, d: int):
+    """Recurrence coefficients g for window size d; needs 2d terms."""
+    _window_terms(a, d)
     return solve(hankel_matrix(a, d), list(a[d : 2 * d]))
+
+
+def _orthogonal_polys(alpha, beta, count):
+    """The monic orthogonal polynomials pi_1..pi_count of the moment pass,
+    by pi_(k+1) = (x - alpha_k) pi_k - beta_k pi_(k-1), each as ascending
+    int numerators over one positive denominator (the last numerator),
+    with one gcd taken out per polynomial."""
+    polys = []
+    before, before_den = [], 1
+    pi, den = [1], 1
+    for k in range(count):
+        scales = (Fraction(1, den), alpha[k] / den, beta[k] / before_den)
+        common = lcm(*(s.denominator for s in scales))
+        c0, c1, c2 = (s.numerator * (common // s.denominator) for s in scales)
+        nxt = [0] + [c0 * c for c in pi]
+        for i, c in enumerate(pi):
+            nxt[i] -= c1 * c
+        for i, c in enumerate(before):
+            nxt[i] -= c2 * c
+        g = gcd(*nxt)
+        before, before_den = pi, den
+        pi, den = [c // g for c in nxt], nxt[-1] // g
+        polys.append((pi, den))
+    return polys
 
 
 def bm_triangle(a, count: int):
@@ -41,18 +69,14 @@ def bm_triangle(a, count: int):
     at the first vanishing leading minor, which is the first singular
     window.
     """
-    windows = max(0, min(count, len(a) // 2))
+    if count < 0:
+        raise ValueError("count must not be negative")
+    windows = min(count, len(a) // 2)
     _, alpha, beta, solved = _chebyshev(a[: 2 * windows])
-    rows = []
-    before, pi = [], [Fraction(1)]
-    for k in range(solved):
-        nxt = [Fraction(0)] + pi
-        for i, c in enumerate(pi):
-            nxt[i] -= alpha[k] * c
-        for i, c in enumerate(before):
-            nxt[i] -= beta[k] * c
-        before, pi = pi, nxt
-        rows.append([-c for c in pi[:-1]])
+    rows = [
+        [Fraction(-c, den) for c in pi[:-1]]
+        for pi, den in _orthogonal_polys(alpha, beta, solved)
+    ]
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)
     if windows < count:
@@ -62,9 +86,18 @@ def bm_triangle(a, count: int):
 
 
 def char_poly(a, d: int):
-    """Ascending coefficients of the monic polynomial x^d - sum g_(i+1) x^i."""
-    g = solve_bm(a, d)
-    return [-c for c in g] + [Fraction(1)]
+    """Ascending coefficients of the monic polynomial x^d - sum g_(i+1) x^i.
+
+    That is pi_d of the moment pass when no leading minor of H_d vanishes;
+    otherwise window d alone is solved (``solve_bm``), since H_d may be
+    invertible after a singular H_k, k < d.
+    """
+    _window_terms(a, d)
+    _, alpha, beta, done = _chebyshev(a[: 2 * d])
+    if done < d:
+        return [-c for c in solve_bm(a, d)] + [Fraction(1)]
+    pi, den = _orthogonal_polys(alpha, beta, d)[-1]
+    return [Fraction(c, den) for c in pi]
 
 
 def companion_check(a, d: int):

@@ -4,19 +4,22 @@ The Hankel transform of a sequence is the sequence of determinants of its
 leading Hankel blocks.  One O(n^2) pass over the sequence as a moment
 sequence, Chebyshev's algorithm, gives the LDL^T factors of every Hankel
 matrix, the transform (the partial products of the diagonal) and the
-J-fraction of the monic orthogonal polynomials.  The fraction-free Bareiss
-elimination is the independent route: ``method="bareiss"`` and the
-``spot`` check against the moment pass.
+J-fraction of the monic orthogonal polynomials.  The pass runs on int
+numerators over one denominator per row, in the layout of FLINT's
+``fmpq_poly``.  The default ``spot`` transform certifies it in O(n^2)
+mod a 61-bit prime.  The fraction-free Bareiss elimination is the
+independent exact route: it is ``method="bareiss"``, and ``spot`` falls
+back to it when the prime divides a pivot or a denominator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
-from .linalg import _eliminate, as_int, bareiss_det
+from .linalg import as_int, bareiss_det, leading_minors
 
 __all__ = [
     "hankel_matrix",
@@ -58,16 +61,25 @@ class LDLDecomp:
         return out
 
 
+def _integer_row(a):
+    """The terms as int numerators over their least common denominator."""
+    terms = [Fraction(v) for v in a]
+    den = lcm(*(v.denominator for v in terms))
+    return [v.numerator * (den // v.denominator) for v in terms], den
+
+
 def _chebyshev(a):
     """Chebyshev's algorithm on the terms a_0..a_(N-1) read as moments.
 
     With pi_k the monic orthogonal polynomials of the moment functional
     x^l -> a_l, row k of ``sigma`` holds sigma_(k,l) = <pi_k, x^l> for
-    l = k..N-1-k, stored from l = k on (``sigma[k][j]`` is sigma_(k,k+j)).
-    sigma_(k,k) is the LDL^T diagonal entry D[k] of every Hankel matrix of
-    the sequence, sigma_(k,l) / sigma_(k,k) is its unit-factor entry L[l][k],
-    and (alpha_k, beta_k) is the J-fraction of the three-term recurrence
-    pi_(k+1) = (x - alpha_k) pi_k - beta_k pi_(k-1), with beta_0 = a_0.
+    l = k..N-1-k, stored from l = k on as (numerators, denominator):
+    sigma_(k,k+j) is ``num[j] / den``, with den > 0 and one gcd taken out
+    per row.  sigma_(k,k) is the LDL^T diagonal entry D[k] of every Hankel
+    matrix of the sequence, sigma_(k,l) / sigma_(k,k) is its unit-factor
+    entry L[l][k], and (alpha_k, beta_k), Fractions, is the J-fraction of
+    the three-term recurrence pi_(k+1) = (x - alpha_k) pi_k - beta_k pi_(k-1),
+    with beta_0 = a_0.
 
     Returns (sigma, alpha, beta, completed steps): the pass ends at the
     first zero sigma_(k,k), where the leading (k+1)-minor vanishes, so
@@ -75,26 +87,33 @@ def _chebyshev(a):
     two entries shorter than the one before it: N terms give (N+1) // 2
     rows, and alpha_k needs sigma_(k,k+1), so an odd N gives one alpha
     fewer than beta.  Gautschi, *Orthogonal Polynomials* (2004), 2.1.7.
+
+    With row k = N/D and row k-1 = P/E, the step
+    sigma_(k+1,l) = sigma_(k,l+1) - alpha_k sigma_(k,l) - beta_k sigma_(k-1,l)
+    multiplied through by D N_0 P_0 is an integer combination of N and P
+    (E cancels).  A row (1, 0, 0, ...) over 1 before row 0 turns the
+    general step into the first one.
     """
-    row = [Fraction(v) for v in a]
-    sigma, alpha, beta = [row], [], []
-    prev = None
-    while row and row[0] != 0:
-        beta.append(row[0] / prev[0] if prev else row[0])
-        if len(row) > 1:
-            alpha.append(row[1] / row[0] - (prev[1] / prev[0] if prev else 0))
-        if len(row) < 3:
+    num, den = _integer_row(a)
+    sigma, alpha, beta = [(num, den)], [], []
+    low, low_den = [1] + [0] * len(num), 1
+    while num and num[0] != 0:
+        n0, p0 = num[0], low[0]
+        beta.append(Fraction(n0 * low_den, den * p0))
+        if len(num) > 1:
+            alpha.append(Fraction(num[1], n0) - Fraction(low[1], p0))
+        if len(num) < 3:
             return sigma, alpha, beta, len(sigma)
-        ak, bk = alpha[-1], beta[-1]
-        if prev:
-            nxt = [
-                row[j + 2] - ak * row[j + 1] - bk * prev[j + 2]
-                for j in range(len(row) - 2)
-            ]
-        else:
-            nxt = [row[j + 2] - ak * row[j + 1] for j in range(len(row) - 2)]
-        prev, row = row, nxt
-        sigma.append(row)
+        c0, c1, c2 = n0 * p0, num[1] * p0 - low[1] * n0, n0 * n0
+        nxt = [
+            c0 * num[j + 2] - c1 * num[j + 1] - c2 * low[j + 2]
+            for j in range(len(num) - 2)
+        ]
+        scale = den * c0
+        g = gcd(scale, *nxt) if scale > 0 else -gcd(scale, *nxt)
+        low, low_den = num, den
+        num, den = [c // g for c in nxt], scale // g
+        sigma.append((num, den))
     return sigma, alpha, beta, len(sigma) - 1
 
 
@@ -122,9 +141,11 @@ def ldl(h) -> LDLDecomp:
     sigma, _, _, done = _chebyshev(list(h[0]) + [h[i][n - 1] for i in range(1, n)])
     if done < n:
         raise SingularLeadingMinor(done)
-    d = [sigma[k][0] for k in range(n)]
+    d = [Fraction(num[0], den) for num, den in sigma[:n]]
+    nums = [num for num, _ in sigma[:n]]
     l = [
-        [sigma[k][i - k] / d[k] for k in range(i)] + [Fraction(1)] for i in range(n)
+        [Fraction(nums[k][i - k], nums[k][0]) for k in range(i)] + [Fraction(1)]
+        for i in range(n)
     ]
     return LDLDecomp(l=l, d=d)
 
@@ -158,11 +179,13 @@ def hankel_transform(a, count: int, method: str = "spot"):
     Methods: ``ldl`` (partial products of the LDL^T diagonal, from the
     moment pass), ``bareiss`` (an independent fraction-free determinant per
     order, the only route that reports a vanishing minor as a value), or
-    ``both`` and the default ``spot``, which are the same: the moment pass,
-    checked at every order against the pivots of one Bareiss pass over the
-    whole matrix, which are the leading minors.  Integer terms give
-    integers (a proper fraction raises IntegralityViolation); other exact
-    terms give their exact values.
+    ``both`` and the default ``spot``, which are the same: the moment pass
+    with an O(n^2) certificate mod the prime 2^61 - 1 (see ``_certify``).
+    Should a residue the certificate divides by vanish mod that prime, the
+    determinants are checked against the pivots of one exact Bareiss pass
+    instead, which are the leading minors.  Integer terms give integers (a
+    proper fraction raises IntegralityViolation); other exact terms give
+    their exact values.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -178,25 +201,89 @@ def hankel_transform(a, count: int, method: str = "spot"):
     sigma, _, _, done = _chebyshev(terms)
     if done < count:
         raise SingularLeadingMinor(done)
-    integral = all(isinstance(v, int) for v in terms)
     values = []
     acc = Fraction(1)
-    for n in range(count):
-        acc *= sigma[n][0]
-        values.append(as_int(acc) if integral else acc)
-    if method == "ldl":
-        return values
-    # No leading minor vanishes, so the Bareiss pass never swaps.
-    h = hankel_matrix(a, count)
-    _eliminate(h, count)
-    for n in range(count):
-        reference = h[n][n]
-        if reference != values[n]:
-            raise CrossCheckFailed(
-                f"determinant paths disagree at order {n}: "
-                f"{values[n]} (LDL) vs {reference} (Bareiss)"
-            )
+    for num, den in sigma[:count]:
+        acc *= Fraction(num[0], den)
+        values.append(acc)
+    if method != "ldl" and not _certify(terms, sigma, values):
+        for n, minor in enumerate(leading_minors(hankel_matrix(a, count))):
+            if minor != values[n]:
+                raise CrossCheckFailed(
+                    f"determinant paths disagree at order {n}: "
+                    f"{values[n]} (LDL) vs {minor} (Bareiss)"
+                )
+    if all(isinstance(v, int) for v in terms):
+        return [as_int(v) for v in values]
     return values
+
+
+# The certificate works mod the Mersenne prime 2^61 - 1 with the vector
+# v_j = _BASE^j; a fixed base keeps every result and message reproducible.
+_PRIME = (1 << 61) - 1
+_BASE = 0x9E3779B97F4A7C15 % _PRIME
+
+
+def _residue(x):
+    """x mod _PRIME for an exact number; None if its denominator is 0 there."""
+    if isinstance(x, int):
+        return x % _PRIME
+    x = Fraction(x)
+    unit = x.denominator % _PRIME
+    return x.numerator * pow(unit, -1, _PRIME) % _PRIME if unit else None
+
+
+def _hankel_times(terms, v):
+    """H v mod _PRIME for the Hankel matrix of the terms, or None."""
+    h = [_residue(x) for x in terms]
+    if None in h:
+        return None
+    n = len(v)
+    return [sum(h[i + j] * v[j] for j in range(n)) % _PRIME for i in range(n)]
+
+
+def _certify(terms, sigma, values):
+    """Freivalds' check of the moment pass and its determinants, in O(n^2).
+
+    With U[k][l] = sigma_(k,l) (k <= l < n) and D the diagonal of U, the
+    Hankel matrix is H = U^T D^-1 U, so H v and U^T (D^-1 (U v)) must
+    agree mod the prime, and the determinant of order k must be the
+    product of D[0..k].  A disagreement raises CrossCheckFailed.  Returns
+    False, having checked nothing, when a residue that must be a unit (a
+    row denominator, a pivot numerator, a denominator of a term or of a
+    determinant) is 0 mod the prime.
+    """
+    n = len(values)
+    v = [pow(_BASE, j, _PRIME) for j in range(n)]
+    hv = _hankel_times(terms, v)
+    rows = [[c % _PRIME for c in num[: n - k]] for k, (num, _) in enumerate(sigma[:n])]
+    dens = [den % _PRIME for _, den in sigma[:n]]
+    dets = [_residue(x) for x in values]
+    if hv is None or None in dets or 0 in dens or any(row[0] == 0 for row in rows):
+        return False
+    # (D^-1 U v)_k is sum_j num_k[j] v_(k+j) / num_k[0], and U^T adds it
+    # times num_k[j] / den_k to entry k+j.
+    udu = [0] * n
+    for k, row in enumerate(rows):
+        t = sum(c * v[k + j] for j, c in enumerate(row))
+        t = t * pow(row[0] * dens[k], -1, _PRIME) % _PRIME
+        for j, c in enumerate(row):
+            udu[k + j] += c * t
+    for i in range(n):
+        if hv[i] != udu[i] % _PRIME:
+            raise CrossCheckFailed(
+                f"moment pass fails its certificate at row {i}: "
+                "H v != U^T D^-1 U v mod 2^61-1"
+            )
+    product = 1
+    for k, row in enumerate(rows):
+        product = product * row[0] * pow(dens[k], -1, _PRIME) % _PRIME
+        if dets[k] != product:
+            raise CrossCheckFailed(
+                f"determinant of order {k} is not the product of the "
+                "certified pivots mod 2^61-1"
+            )
+    return True
 
 
 def binomial_transform(a, k: int = 1):

@@ -2,10 +2,10 @@
 
 Everything here trades speed for obviousness: cofactor determinants,
 direct summation formulas, point-evaluation of polynomials, untruncated
-Horner composition, coefficient-by-coefficient series reversion, and the
-named Riordan arrays as group inverses of their rational partners or
-rebuilt from their production matrix.  The library must agree with these
-on every tested input.
+Horner composition, coefficient-by-coefficient series reversion, the
+moment pass on Fractions, and the named Riordan arrays as group inverses
+of their rational partners or rebuilt from their production matrix.  The
+library must agree with these on every tested input.
 """
 
 from __future__ import annotations
@@ -38,6 +38,32 @@ def naive_hankel_transform(terms, count):
         ]
         out.append(det_cofactor(block))
     return out
+
+
+def fraction_chebyshev(a):
+    """Chebyshev's algorithm on Fractions: (sigma, alpha, beta, completed
+    steps) as ``hankel._chebyshev`` returns them, with each sigma row a list
+    of Fractions, sigma[k][j] = sigma_(k,k+j)."""
+    row = [Fraction(v) for v in a]
+    sigma, alpha, beta = [row], [], []
+    prev = None
+    while row and row[0] != 0:
+        beta.append(row[0] / prev[0] if prev else row[0])
+        if len(row) > 1:
+            alpha.append(row[1] / row[0] - (prev[1] / prev[0] if prev else 0))
+        if len(row) < 3:
+            return sigma, alpha, beta, len(sigma)
+        ak, bk = alpha[-1], beta[-1]
+        if prev:
+            nxt = [
+                row[j + 2] - ak * row[j + 1] - bk * prev[j + 2]
+                for j in range(len(row) - 2)
+            ]
+        else:
+            nxt = [row[j + 2] - ak * row[j + 1] for j in range(len(row) - 2)]
+        prev, row = row, nxt
+        sigma.append(row)
+    return sigma, alpha, beta, len(sigma) - 1
 
 
 def naive_binomial_transform(terms):

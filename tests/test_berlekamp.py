@@ -160,6 +160,11 @@ def test_triangle_reports_the_first_failing_window():
     assert berlekamp.bm_triangle(C3, 0) == []
 
 
+def test_triangle_rejects_a_negative_count():
+    with pytest.raises(ValueError, match="count must not be negative"):
+        berlekamp.bm_triangle(C3, -2)
+
+
 def test_window_solvable_after_a_singular_one():
     # H_2 of 0, 1, 1, 2 is invertible though H_1 = [0] is not: single
     # windows pivot, the triangle stops at the first singular window.

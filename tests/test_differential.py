@@ -1,7 +1,8 @@
-"""Seeded differential tests: the moment pass and the single-pass
-elimination routes against per-window solves, cofactor determinants and
-dense elimination, and the forward-substitution production matrix against
-the inverse-times-shift product, on random, singular and too-short inputs.
+"""Seeded differential tests: the integer-row moment pass against the
+Fraction one, the routes built on it and the single-pass elimination
+routes against per-window solves, cofactor determinants and dense
+elimination, and the forward-substitution production matrix against the
+inverse-times-shift product, on random, singular and too-short inputs.
 Values must be equal; errors must agree in type, message, order/index and
 partial result."""
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -20,7 +22,7 @@ from riordankit.errors import (
     SingularSystem,
 )
 
-from helpers import det_cofactor
+from helpers import det_cofactor, fraction_chebyshev
 
 METHODS = ("ldl", "bareiss", "both", "spot")
 
@@ -136,6 +138,60 @@ def test_recurrence_routes_match_per_window_solves():
                 per_column_companion, a, d
             ), (a, d)
     assert seen == {"value", InsufficientTerms, SingularSystem}
+
+
+def moment_terms(rng, kind, length):
+    """Terms from {-3..3} (kind 0), moments of a measure with up to nine
+    atoms, whose minors vanish past the atom count (1), sparse terms whose
+    minors vanish and recover (2), or Fractions (3)."""
+    if kind == 0:
+        return [rng.randint(-3, 3) for _ in range(length)]
+    if kind == 1:
+        size = rng.randint(1, 9)
+        atoms = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(size)]
+        return [sum(w * x**k for x, w in atoms) for k in range(length)]
+    if kind == 2:
+        return [rng.choice((0, 0, 0, 1, -1)) for _ in range(length)]
+    return [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(length)]
+
+
+def test_integer_row_engine_matches_the_fraction_oracle():
+    rng = random.Random(8)
+    stops = set()
+    for _ in range(240):
+        length = rng.choice((0, 1, 2, rng.randint(3, 24)))
+        a = moment_terms(rng, rng.randrange(4), length)
+        sigma, alpha, beta, done = hankel._chebyshev(a)
+        for num, den in sigma:
+            assert den > 0 and gcd(den, *num) == 1, (a, num, den)
+        rows = [[Fraction(c, den) for c in num] for num, den in sigma]
+        assert repr((rows, alpha, beta, done)) == repr(fraction_chebyshev(a)), a
+        stops.add(done < len(sigma))
+    assert stops == {True, False}
+
+
+def window_char_poly(a, d):
+    return [-c for c in berlekamp.solve_bm(a, d)] + [Fraction(1)]
+
+
+def test_char_poly_matches_window_solves():
+    rng = random.Random(24)
+    seen = set()
+    for kind in (0, 1, 2, 3) * 3:
+        a = moment_terms(rng, kind, 48)
+        for d in range(1, 26):
+            expected = outcome(window_char_poly, a, d)
+            assert repr(outcome(berlekamp.char_poly, a, d)) == repr(expected), (a, d)
+            engine_done = hankel._chebyshev(a[: 2 * d])[3] >= d
+            seen.add((expected[0], engine_done))
+    # Both routes give values, and windows after a vanishing minor are
+    # solved as well as found singular.
+    assert seen == {
+        ("value", True),
+        ("value", False),
+        (SingularSystem, False),
+        (InsufficientTerms, False),
+    }
 
 
 def test_hankel_methods_match_cofactor_minors():

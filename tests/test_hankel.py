@@ -160,15 +160,84 @@ def test_transform_zero_determinant_policy():
 
 
 def test_transform_paths_disagreeing_is_a_cross_check_failure(monkeypatch):
-    def off_by_one(m, steps):
-        linalg._eliminate(m, steps)
-        m[2][2] += 1
+    def off_by_one(terms, v):
+        hv = hankel_times(terms, v)
+        hv[2] += 1
+        return hv
 
-    monkeypatch.setattr(hankel, "_eliminate", off_by_one)
+    hankel_times = hankel._hankel_times
+    monkeypatch.setattr(hankel, "_hankel_times", off_by_one)
     terms = sequences.family_terms("catalan", 7, 2)
-    with pytest.raises(CrossCheckFailed, match="disagree at order 2"):
+    with pytest.raises(CrossCheckFailed, match="fails its certificate at row 2"):
         hankel.hankel_transform(terms, 4, method="spot")
     assert hankel.hankel_transform(terms, 4, method="ldl") == [1, 2, 8, 64]
+
+
+def corrupted_engine(k, j):
+    """The moment pass with sigma_(k,k+j) raised by one."""
+    engine = hankel._chebyshev
+
+    def corrupt(a):
+        sigma, alpha, beta, done = engine(a)
+        num, den = sigma[k]
+        sigma[k] = (num[:j] + [num[j] + den] + num[j + 1 :], den)
+        return sigma, alpha, beta, done
+
+    return corrupt
+
+
+@pytest.mark.parametrize(
+    "terms",
+    [
+        sequences.family_terms("catalan", 11, 2),
+        [3, -1, 2, 0, -3, 1, 1, 2, -2, 3, 1],  # random, no vanishing minor
+    ],
+)
+def test_certificate_rejects_every_single_corrupted_moment(monkeypatch, terms):
+    # The transform of order 6 reads sigma_(k,l) for k <= l < 6 only.
+    count = 6
+    for k in range(count):
+        for j in range(count - k):
+            monkeypatch.setattr(hankel, "_chebyshev", corrupted_engine(k, j))
+            with pytest.raises(CrossCheckFailed):
+                hankel.hankel_transform(terms, count, method="spot")
+
+
+P61 = 2**61 - 1
+
+
+@pytest.mark.parametrize(
+    "terms, expected",
+    [
+        (
+            [P61 * c for c in sequences.family_terms("catalan", 7, 2)],
+            [P61, 2 * P61**2, 8 * P61**3, 64 * P61**4],
+        ),
+        (
+            [Fraction(c, P61) for c in sequences.family_terms("catalan", 7, 2)],
+            [Fraction(v, P61 ** (n + 1)) for n, v in enumerate((1, 2, 8, 64))],
+        ),
+    ],
+)
+def test_degenerate_residue_falls_back_to_bareiss(monkeypatch, terms, expected):
+    calls = []
+
+    def spy(m):
+        calls.append(len(m))
+        return leading_minors(m)
+
+    leading_minors = hankel.leading_minors
+    monkeypatch.setattr(hankel, "leading_minors", spy)
+    assert hankel.hankel_transform(terms, 4, method="spot") == expected
+    assert calls == [4]
+    calls.clear()
+    catalan = sequences.family_terms("catalan", 7, 2)
+    assert hankel.hankel_transform(catalan, 4, method="both") == [1, 2, 8, 64]
+    assert calls == []
+
+    monkeypatch.setattr(hankel, "leading_minors", lambda m: [1, 2, 3, 4])
+    with pytest.raises(CrossCheckFailed, match="disagree at order 0"):
+        hankel.hankel_transform(terms, 4, method="spot")
 
 
 def test_binomial_transform_against_direct_sum():
