@@ -19,7 +19,7 @@ from fractions import Fraction
 from math import comb, gcd, lcm
 
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
-from .linalg import as_int, bareiss_det, leading_minors
+from .linalg import _eliminate, as_int, bareiss_det
 
 __all__ = [
     "hankel_matrix",
@@ -206,12 +206,15 @@ def hankel_transform(a, count: int, method: str = "spot"):
     for num, den in sigma[:count]:
         acc *= Fraction(num[0], den)
         values.append(acc)
-    if method != "ldl" and not _certify(terms, sigma, values):
-        for n, minor in enumerate(leading_minors(hankel_matrix(a, count))):
-            if minor != values[n]:
+    if method != "ldl" and not _certify(terms, sigma, count):
+        # No leading minor vanishes, so the Bareiss pass never swaps.
+        h = hankel_matrix(a, count)
+        _eliminate(h, count)
+        for n in range(count):
+            if h[n][n] != values[n]:
                 raise CrossCheckFailed(
                     f"determinant paths disagree at order {n}: "
-                    f"{values[n]} (LDL) vs {minor} (Bareiss)"
+                    f"{values[n]} (LDL) vs {h[n][n]} (Bareiss)"
                 )
     if all(isinstance(v, int) for v in terms):
         return [as_int(v) for v in values]
@@ -242,24 +245,22 @@ def _hankel_times(terms, v):
     return [sum(h[i + j] * v[j] for j in range(n)) % _PRIME for i in range(n)]
 
 
-def _certify(terms, sigma, values):
-    """Freivalds' check of the moment pass and its determinants, in O(n^2).
+def _certify(terms, sigma, n):
+    """Freivalds' check of the first n rows of the moment pass, in O(n^2).
 
     With U[k][l] = sigma_(k,l) (k <= l < n) and D the diagonal of U, the
     Hankel matrix is H = U^T D^-1 U, so H v and U^T (D^-1 (U v)) must
-    agree mod the prime, and the determinant of order k must be the
-    product of D[0..k].  A disagreement raises CrossCheckFailed.  Returns
-    False, having checked nothing, when a residue that must be a unit (a
-    row denominator, a pivot numerator, a denominator of a term or of a
-    determinant) is 0 mod the prime.
+    agree mod the prime.  That certifies the pivots D, whose partial
+    products are the determinants.  A disagreement raises CrossCheckFailed.
+    Returns False, having checked nothing, when a residue that must be a
+    unit (a row denominator, a pivot numerator, a denominator of a term)
+    is 0 mod the prime.
     """
-    n = len(values)
     v = [pow(_BASE, j, _PRIME) for j in range(n)]
     hv = _hankel_times(terms, v)
     rows = [[c % _PRIME for c in num[: n - k]] for k, (num, _) in enumerate(sigma[:n])]
     dens = [den % _PRIME for _, den in sigma[:n]]
-    dets = [_residue(x) for x in values]
-    if hv is None or None in dets or 0 in dens or any(row[0] == 0 for row in rows):
+    if hv is None or 0 in dens or any(row[0] == 0 for row in rows):
         return False
     # (D^-1 U v)_k is sum_j num_k[j] v_(k+j) / num_k[0], and U^T adds it
     # times num_k[j] / den_k to entry k+j.
@@ -274,14 +275,6 @@ def _certify(terms, sigma, values):
             raise CrossCheckFailed(
                 f"moment pass fails its certificate at row {i}: "
                 "H v != U^T D^-1 U v mod 2^61-1"
-            )
-    product = 1
-    for k, row in enumerate(rows):
-        product = product * row[0] * pow(dens[k], -1, _PRIME) % _PRIME
-        if dets[k] != product:
-            raise CrossCheckFailed(
-                f"determinant of order {k} is not the product of the "
-                "certified pivots mod 2^61-1"
             )
     return True
 

@@ -74,25 +74,26 @@ def _exact_div(a, b):
     return a / b
 
 
-def _eliminate(m, steps, swap=True):
+def _eliminate(m, steps):
     """Fraction-free (Bareiss) elimination of m in place, over its first
     ``steps`` columns; m may be rectangular, and every later column is
     carried along.  Returns (sign, completed steps).
 
     With no row swap, pivot k is the leading (k+1)-minor (Sylvester's
     identity).  A zero pivot swaps in a lower row, flipping the sign, or
-    ends the pass when there is none or ``swap`` is off.
+    ends the pass when there is none.
     """
     sign = 1
     prev = 1
     for k in range(steps):
         if m[k][k] == 0:
-            below = (i for i in range(k + 1, len(m)) if m[i][k] != 0)
-            i = next(below, None) if swap else None
-            if i is None:
+            for i in range(k + 1, len(m)):
+                if m[i][k] != 0:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
                 return sign, k
-            m[k], m[i] = m[i], m[k]
-            sign = -sign
         top = m[k]
         pivot = top[k]
         for i in range(k + 1, len(m)):
@@ -103,14 +104,6 @@ def _eliminate(m, steps, swap=True):
             row[k] = 0
         prev = pivot
     return sign, steps
-
-
-def leading_minors(m):
-    """Leading principal minors of a square matrix from one Bareiss pass
-    without row swaps, up to and including the first that vanishes."""
-    a = [list(row) for row in m]
-    done = _eliminate(a, len(a), swap=False)[1]
-    return [a[k][k] for k in range(min(done + 1, len(a)))]
 
 
 def _back_substitute(m, n, col):

@@ -222,12 +222,12 @@ P61 = 2**61 - 1
 def test_degenerate_residue_falls_back_to_bareiss(monkeypatch, terms, expected):
     calls = []
 
-    def spy(m):
-        calls.append(len(m))
-        return leading_minors(m)
+    def spy(m, steps):
+        calls.append(steps)
+        return eliminate(m, steps)
 
-    leading_minors = hankel.leading_minors
-    monkeypatch.setattr(hankel, "leading_minors", spy)
+    eliminate = hankel._eliminate
+    monkeypatch.setattr(hankel, "_eliminate", spy)
     assert hankel.hankel_transform(terms, 4, method="spot") == expected
     assert calls == [4]
     calls.clear()
@@ -235,7 +235,11 @@ def test_degenerate_residue_falls_back_to_bareiss(monkeypatch, terms, expected):
     assert hankel.hankel_transform(catalan, 4, method="both") == [1, 2, 8, 64]
     assert calls == []
 
-    monkeypatch.setattr(hankel, "leading_minors", lambda m: [1, 2, 3, 4])
+    def broken(m, steps):
+        eliminate(m, steps)
+        m[0][0] += 1
+
+    monkeypatch.setattr(hankel, "_eliminate", broken)
     with pytest.raises(CrossCheckFailed, match="disagree at order 0"):
         hankel.hankel_transform(terms, 4, method="spot")
 
