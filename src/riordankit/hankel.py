@@ -16,10 +16,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb, gcd
 
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
 from .linalg import _eliminate, as_int, bareiss_det
+from .series import _integer_row
 
 __all__ = [
     "hankel_matrix",
@@ -59,13 +60,6 @@ class LDLDecomp:
                     s += self.l[i][k] * self.d[k] * self.l[j][k]
                 out[i][j] = s
         return out
-
-
-def _integer_row(a):
-    """The terms as int numerators over their least common denominator."""
-    terms = [Fraction(v) for v in a]
-    den = lcm(*(v.denominator for v in terms))
-    return [v.numerator * (den // v.denominator) for v in terms], den
 
 
 def _chebyshev(a):

@@ -9,7 +9,6 @@ Catalan families live here.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -28,9 +27,9 @@ class RiordanArray:
     __slots__ = ("d", "h")
 
     def __init__(self, d: Series, h: Series):
-        if d.order < 1 or d[0] == 0:
+        if d.order < 1 or d.num[0] == 0:
             raise ValueError("d must have a nonzero constant term")
-        if h.order < 2 or h[0] != 0 or h[1] == 0:
+        if h.order < 2 or h.num[0] != 0 or h.num[1] == 0:
             raise ValueError("h must satisfy h(0) = 0 and h'(0) != 0")
         self.d = d
         self.h = h
@@ -57,19 +56,21 @@ class RiordanArray:
         return f"RiordanArray(d={self.d!r}, h={self.h!r})"
 
     def to_matrix(self, dim: int):
-        """Leading dim x dim block as ragged lower-triangular rows."""
+        """Leading dim x dim block as ragged lower-triangular rows of
+        Fractions.  Column k is d * h^k = x^k d (h/x)^k, so only the first
+        dim - k terms of d (h/x)^k are expanded."""
         if dim > self.order:
             raise InsufficientOrder(
                 f"array of order {self.order} cannot fill a {dim} x {dim} block"
             )
-        rows = [[Fraction(0)] * (n + 1) for n in range(dim)]
+        rows = [[] for _ in range(dim)]
         col = self.d.truncate(dim)
-        h = self.h.truncate(dim)
+        h = self.h.truncate(dim).div_x(1)
         for k in range(dim):
-            for n in range(k, dim):
-                rows[n][k] = col[n]
+            for n, c in enumerate(col.coeffs, k):
+                rows[n].append(c)
             if k + 1 < dim:
-                col = col * h
+                col = col.truncate(dim - k - 1) * h
         return rows
 
     def multiply(self, other: "RiordanArray") -> "RiordanArray":
@@ -128,6 +129,8 @@ def _central_root(r: int, order: int):
     taken to order + 1 terms first."""
     if r < 1:
         raise UnsupportedParameter("r must be at least 1")
+    if order < 1:
+        raise InsufficientOrder("order must be at least 1")
     s = series.poly([1, -2 * (r + 1), (r - 1) ** 2], order + 1).sqrt()
     h = (series.poly([1, -(r + 1)], order + 1) - s).div_x(1) / (2 * r)
     return s.truncate(order), h

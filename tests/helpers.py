@@ -3,6 +3,7 @@
 Everything here trades speed for obviousness: cofactor determinants,
 direct summation formulas, point-evaluation of polynomials, untruncated
 Horner composition, coefficient-by-coefficient series reversion, the
+series kernels and the bivariate expander on Fraction coefficients, the
 moment pass on Fractions, and the named Riordan arrays as group inverses
 of their rational partners or rebuilt from their production matrix.  The
 library must agree with these on every tested input.
@@ -14,6 +15,13 @@ from fractions import Fraction
 from math import comb
 
 from riordankit import production, riordan, series
+from riordankit.errors import (
+    InsufficientOrder,
+    NonUnitConstant,
+    NonzeroInnerConstant,
+    NotRevertible,
+    ZeroConstantDivisor,
+)
 
 
 def det_cofactor(m):
@@ -64,6 +72,135 @@ def fraction_chebyshev(a):
         prev, row = row, nxt
         sigma.append(row)
     return sigma, alpha, beta, len(sigma) - 1
+
+
+def _fmul(a, b, n):
+    out = [Fraction(0)] * n
+    for i in range(min(len(a), n)):
+        if a[i]:
+            for j in range(min(len(b), n - i)):
+                if b[j]:
+                    out[i + j] += a[i] * b[j]
+    return out
+
+
+def _fdiv(a, b, n):
+    if not b or b[0] == 0:
+        raise ZeroConstantDivisor("cannot divide by a series with zero constant term")
+    q = []
+    for i in range(n):
+        s = a[i] if i < len(a) else Fraction(0)
+        for k in range(1, min(i, len(b) - 1) + 1):
+            s -= b[k] * q[i - k]
+        q.append(s / b[0])
+    return q
+
+
+class FractionSeries:
+    """``series.Series`` on Fraction coefficients, a gcd in every
+    multiply-add: the reference the int-numerator kernels must match by
+    ``repr`` of ``coeffs``, and by error type and message."""
+
+    def __init__(self, coeffs):
+        self.coeffs = tuple(Fraction(c) for c in coeffs)
+
+    @property
+    def order(self):
+        return len(self.coeffs)
+
+    def truncate(self, n):
+        if n > self.order:
+            raise InsufficientOrder(f"order {self.order} series cannot supply {n} terms")
+        return FractionSeries(self.coeffs[:n])
+
+    def __add__(self, other):
+        return FractionSeries([a + b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __sub__(self, other):
+        return FractionSeries([a - b for a, b in zip(self.coeffs, other.coeffs)])
+
+    def __neg__(self):
+        return FractionSeries([-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if isinstance(other, FractionSeries):
+            n = min(self.order, other.order)
+            return FractionSeries(_fmul(self.coeffs, other.coeffs, n))
+        return FractionSeries([c * other for c in self.coeffs])
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if isinstance(other, FractionSeries):
+            n = min(self.order, other.order)
+            return FractionSeries(_fdiv(self.coeffs, other.coeffs, n))
+        inv = 1 / Fraction(other)
+        return FractionSeries([c * inv for c in self.coeffs])
+
+    def __rtruediv__(self, other):
+        num = [Fraction(other)] + [Fraction(0)] * (self.order - 1)
+        return FractionSeries(_fdiv(num, self.coeffs, self.order))
+
+    def div_x(self, k=1):
+        if any(self.coeffs[i] for i in range(min(k, self.order))):
+            raise ValueError(f"cannot divide by x^{k}: low-order coefficient nonzero")
+        return FractionSeries(self.coeffs[k:])
+
+    def sqrt(self):
+        if not self.coeffs or self.coeffs[0] != 1:
+            raise NonUnitConstant("series square root requires constant term 1")
+        s = [Fraction(1)]
+        for i in range(1, self.order):
+            t = self.coeffs[i] - sum(s[k] * s[i - k] for k in range(1, i))
+            s.append(t / 2)
+        return FractionSeries(s)
+
+    def compose(self, inner):
+        if not inner.coeffs or inner.coeffs[0] != 0:
+            raise NonzeroInnerConstant("composition requires inner constant term 0")
+        n = min(self.order, inner.order)
+        return FractionSeries(naive_compose(self.coeffs, inner.coeffs, n))
+
+    def revert(self):
+        f = self.coeffs
+        if len(f) < 2 or f[0] != 0 or f[1] == 0:
+            raise NotRevertible("reversion requires f(0) = 0 and f'(0) != 0")
+        phi = _fdiv([Fraction(1)], f[1:], len(f) - 1)
+        power, g = phi, [Fraction(0), phi[0]]
+        for m in range(2, len(f)):
+            power = _fmul(power, phi, len(f) - 1)
+            g.append(power[m - 1] / m)
+        return FractionSeries(g)
+
+
+def _ymul(p, q, cap):
+    return _fmul(p, q, min(len(p) + len(q) - 1, cap) if p and q else 0)
+
+
+def _ysub(p, q):
+    out = list(p) + [Fraction(0)] * (len(q) - len(p))
+    for i, c in enumerate(q):
+        out[i] -= c
+    return out
+
+
+def fraction_bivariate_rows(num, den, order_x):
+    """Rows of ``series.bivariate_expand`` on Fraction y-polynomials."""
+    num = [[Fraction(c) for c in row] for row in num]
+    den = [[Fraction(c) for c in row] for row in den]
+    inv0 = _fdiv([Fraction(1)], den[0], order_x)
+    q = []
+    for n in range(order_x):
+        t = num[n] if n < len(num) else []
+        for i in range(1, min(n, len(den) - 1) + 1):
+            t = _ysub(t, _ymul(den[i], q[n - i], order_x))
+        q.append(_ymul(t, inv0, order_x))
+    rows = []
+    for n, qn in enumerate(q):
+        last = max((i for i, c in enumerate(qn) if c), default=0)
+        width = max(n + 1, last + 1)
+        rows.append(qn[:width] + [Fraction(0)] * (width - len(qn[:width])))
+    return rows
 
 
 def naive_binomial_transform(terms):

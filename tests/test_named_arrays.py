@@ -1,14 +1,14 @@
 """The named arrays against their slower routes: group inverses of their
 rational partners (with an O(n^3) reversion) and, for ``a_p``, the rebuild
 from its production matrix.  Arrays must agree by ``==`` and ``repr``;
-errors at order 0, order 1 and r < 1 are pinned by type and message."""
+errors at orders -1, 0 and 1 and at r < 1 are pinned by type and message."""
 
 from __future__ import annotations
 
 import pytest
 
 from riordankit import linalg, production, riordan
-from riordankit.errors import UnsupportedParameter, ZeroConstantDivisor
+from riordankit.errors import InsufficientOrder, UnsupportedParameter
 
 from helpers import (
     ap_by_inverse,
@@ -24,7 +24,6 @@ NAMED = (
     (production.a_p, ap_by_inverse),
 )
 H_ERROR = "h must satisfy h(0) = 0 and h'(0) != 0"
-D_ERROR = "d must have a nonzero constant term"
 
 
 def truncated(arr, order):
@@ -64,11 +63,8 @@ def test_bridge_without_padding(r):
     [riordan.l_central, riordan.l_catalan, production.a_p, production.stieltjes_bridge],
 )
 def test_errors_at_small_orders_and_bad_r(build):
-    zero = (ZeroConstantDivisor, "cannot divide by a series with zero constant term")
-    expected = {
-        0: zero if build is riordan.l_central else (ValueError, D_ERROR),
-        1: (ValueError, H_ERROR),
-    }
+    too_small = (InsufficientOrder, "order must be at least 1")
+    expected = {-1: too_small, 0: too_small, 1: (ValueError, H_ERROR)}
     for order, (kind, message) in expected.items():
         with pytest.raises(kind) as info:
             build(2, order)
