@@ -5,19 +5,21 @@ For a sequence a and window size d, solve
     H_d * g = (a_d, ..., a_(2d-1))^T
 
 with H_d the d x d Hankel block.  Row n of the recurrence triangle is the
-solution at window n+1; the monic characteristic polynomial, the companion
-matrix, and two cross-checks against Riordan machinery follow from it.
+solution at window n+1.  The triangle, the monic characteristic
+polynomial, the companion matrix, and two cross-checks against Riordan
+machinery all read it off the moment pass of ``hankel._chebyshev``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd, lcm
+from math import comb
 
 from . import riordan, sequences, series
 from .errors import CrossCheckFailed, InsufficientTerms, SingularSystem
 from .hankel import _chebyshev, hankel_matrix
-from .linalg import _back_substitute, _eliminate, solve
+from .linalg import solve
+from .series import _integer_row, _normal
 
 
 def _window_terms(a, d: int):
@@ -39,20 +41,18 @@ def _orthogonal_polys(alpha, beta, count):
     int numerators over one positive denominator (the last numerator),
     with one gcd taken out per polynomial."""
     polys = []
-    before, before_den = [], 1
-    pi, den = [1], 1
+    before, before_den = (), 1
+    pi, den = (1,), 1
     for k in range(count):
         scales = (Fraction(1, den), alpha[k] / den, beta[k] / before_den)
-        common = lcm(*(s.denominator for s in scales))
-        c0, c1, c2 = (s.numerator * (common // s.denominator) for s in scales)
+        (c0, c1, c2), _ = _integer_row(scales)
         nxt = [0] + [c0 * c for c in pi]
         for i, c in enumerate(pi):
             nxt[i] -= c1 * c
         for i, c in enumerate(before):
             nxt[i] -= c2 * c
-        g = gcd(*nxt)
         before, before_den = pi, den
-        pi, den = [c // g for c in nxt], nxt[-1] // g
+        pi, den = _normal(nxt, nxt[-1])
         polys.append((pi, den))
     return polys
 
@@ -80,8 +80,7 @@ def bm_triangle(a, count: int):
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)
     if windows < count:
-        d = windows + 1
-        raise InsufficientTerms(f"need {2 * d} terms for window size {d}")
+        _window_terms(a, windows + 1)
     return rows
 
 
@@ -101,26 +100,21 @@ def char_poly(a, d: int):
 
 
 def companion_check(a, d: int):
-    """The matrix H_d^(-1) H'_d with H'(i,j) = a_(i+j+1).
+    """The matrix H_d^(-1) H'_d with H'(i,j) = a_(i+j+1): ones on the
+    sub-diagonal and, in the last column, g = -(the coefficients of
+    ``char_poly(a, d)`` below x^d), the recurrence of ``solve_bm``.
 
-    Structure is asserted before returning: ones on the sub-diagonal and
-    zeros elsewhere.  The last column solves H_d g = (a_d, ..., a_(2d-1)),
-    so it holds the recurrence coefficients of ``solve_bm``.
+    g is asserted to solve the window equations
+    sum_k a_(i+k) g_k = a_(i+d), i < d, before returning; with the ones
+    that is H_d C = H'_d, since column j < d-1 of H'_d is column j+1 of H_d.
     """
-    if len(a) < 2 * d:
-        raise InsufficientTerms(f"need {2 * d} terms for window size {d}")
-    h = hankel_matrix(a, d)
-    block = [h[i] + [a[i + j + 1] for j in range(d)] for i in range(d)]
-    if _eliminate(block, d)[1] < d:
-        raise SingularSystem(d)
-    cols = [_back_substitute(block, d, d + j) for j in range(d)]
-    m = [[cols[j][i] for j in range(d)] for i in range(d)]
-    for i in range(d):
-        for j in range(d - 1):
-            expected = Fraction(1 if i == j + 1 else 0)
-            if m[i][j] != expected:
-                raise CrossCheckFailed(f"companion structure broken at ({i}, {j})")
-    return m
+    g = [-c for c in char_poly(a, d)[:-1]]
+    if any(sum(a[i + k] * g[k] for k in range(d)) != a[i + d] for i in range(d)):
+        raise CrossCheckFailed("companion column does not solve its windows")
+    return [
+        [Fraction(1 if i == j + 1 else 0) for j in range(d - 1)] + [g[i]]
+        for i in range(d)
+    ]
 
 
 def catalan_bm_term(n: int, k: int):
@@ -136,13 +130,15 @@ def coefficient_riordan_check(r: int, count: int):
     """Triangle whose row d holds the ascending characteristic coefficients
     of the generalized Catalan family at window d.
 
-    Asserted equal to the expansion of (1/(1+rx), x/(1+(r+1)x+rx^2)), the
-    inverse of the Catalan-family array.
+    Row d is pi_d of the moment pass, so all rows come from one
+    ``bm_triangle`` call.  Asserted equal to the expansion of
+    (1/(1+rx), x/(1+(r+1)x+rx^2)), the inverse of the Catalan-family array.
     """
     terms = [sequences.gen_catalan(n, r) for n in range(2 * max(count - 1, 1))]
-    rows = [[Fraction(1)]]
-    for d in range(1, count):
-        rows.append(char_poly(terms, d))
+    rows = [[Fraction(1)]] + [
+        [-c for c in row] + [Fraction(1)]
+        for row in bm_triangle(terms, max(count - 1, 0))
+    ]
     if rows != riordan.coefficient_array(r, count + 1).to_matrix(count):
         raise CrossCheckFailed("characteristic rows do not match the inverse array")
     return rows

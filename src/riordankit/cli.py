@@ -21,7 +21,6 @@ from . import riordan, sequences, verify
 from . import berlekamp, hankel
 from .errors import (
     IndexOutOfTriangle,
-    InsufficientOrder,
     InsufficientTerms,
     RiordanKitError,
     SingularDiagonal,
@@ -334,13 +333,7 @@ def main(argv=None) -> int:
     except (SingularLeadingMinor, SingularSystem, SingularDiagonal) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (
-        UnsupportedParameter,
-        InsufficientTerms,
-        InsufficientOrder,
-        IndexOutOfTriangle,
-        ValueError,
-    ) as exc:
+    except (IndexOutOfTriangle, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except RiordanKitError as exc:

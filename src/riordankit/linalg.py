@@ -106,17 +106,6 @@ def _eliminate(m, steps):
     return sign, steps
 
 
-def _back_substitute(m, n, col):
-    """Solve the leading n x n upper-triangular block of m against column col."""
-    xs = [Fraction(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = Fraction(m[i][col])
-        for j in range(i + 1, n):
-            s -= m[i][j] * xs[j]
-        xs[i] = s / m[i][i]
-    return xs
-
-
 def bareiss_det(m):
     """Fraction-free determinant.
 
@@ -139,7 +128,13 @@ def solve(a, b):
     m = [list(a[i]) + [b[i]] for i in range(n)]
     if _eliminate(m, n)[1] < n:
         raise SingularSystem(n)
-    return _back_substitute(m, n, n)
+    xs = [Fraction(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = Fraction(m[i][n])
+        for j in range(i + 1, n):
+            s -= m[i][j] * xs[j]
+        xs[i] = s / m[i][i]
+    return xs
 
 
 def lower_tri_inverse(l):

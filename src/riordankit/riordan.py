@@ -108,10 +108,7 @@ def identity(order: int) -> RiordanArray:
 
 def binomial(order: int) -> RiordanArray:
     """The binomial array (1/(1-x), x/(1-x)) with entries C(n, k)."""
-    return RiordanArray(
-        series.rational([1], [1, -1], order),
-        series.rational([0, 1], [1, -1], order),
-    )
+    return binomial_power(1, order)
 
 
 def binomial_power(k: int, order: int) -> RiordanArray:

@@ -5,7 +5,7 @@ FLINT's ``fmpq_poly`` does: a tuple ``num`` of int numerators over one
 positive int denominator ``den``, with one gcd taken out so that every
 value has exactly one (num, den).  Every kernel runs on the ints and clears
 denominators explicitly; ``coeffs``, the same coefficients as
-``fractions.Fraction``, is built on first read and cached.  Binary
+``fractions.Fraction``, is built on each read.  Binary
 operations truncate to the shorter operand's order and never pad, so a
 result is only as long as both inputs can justify.
 
@@ -121,29 +121,24 @@ class Series:
     ``num`` and ``den`` are the stored form: coefficient i is num[i] / den.
     """
 
-    __slots__ = ("num", "den", "_coeffs")
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
         self.num, self.den = _normal(*_integer_row(coeffs))
-        self._coeffs = None
 
     @classmethod
     def _make(cls, num, den):
         out = cls.__new__(cls)
         out.num, out.den = _normal(num, den)
-        out._coeffs = None
         return out
 
     @property
     def coeffs(self) -> tuple:
-        """The coefficients as a tuple of Fractions."""
-        if self._coeffs is None:
-            den = self.den
-            if den == 1:
-                self._coeffs = tuple(Fraction(c) for c in self.num)
-            else:
-                self._coeffs = tuple(Fraction(c, den) for c in self.num)
-        return self._coeffs
+        """The coefficients as a tuple of Fractions, built on each read."""
+        den = self.den
+        if den == 1:
+            return tuple(Fraction(c) for c in self.num)
+        return tuple(Fraction(c, den) for c in self.num)
 
     @property
     def order(self) -> int:

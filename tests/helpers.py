@@ -4,8 +4,9 @@ Everything here trades speed for obviousness: cofactor determinants,
 direct summation formulas, point-evaluation of polynomials, untruncated
 Horner composition, coefficient-by-coefficient series reversion, the
 series kernels and the bivariate expander on Fraction coefficients, the
-moment pass on Fractions, and the named Riordan arrays as group inverses
-of their rational partners or rebuilt from their production matrix.  The
+moment pass on Fractions, the characteristic rows one window at a time,
+and the named Riordan arrays as group inverses of their rational partners
+or rebuilt from their production matrix.  The
 library must agree with these on every tested input.
 """
 
@@ -14,7 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from riordankit import production, riordan, series
+from riordankit import berlekamp, production, riordan, sequences, series
 from riordankit.errors import (
     InsufficientOrder,
     NonUnitConstant,
@@ -271,3 +272,9 @@ def ap_by_inverse(r, order):
 def ap_rows_by_production(r, dim):
     """Leading dim x dim block of ``a_p`` rebuilt from ``p_catalan``."""
     return production.matrix_from_production(production.p_catalan(r, dim), dim)
+
+
+def characteristic_rows_by_window(r, count):
+    """``coefficient_riordan_check`` rows by one ``char_poly`` per window."""
+    terms = [sequences.gen_catalan(n, r) for n in range(2 * max(count - 1, 1))]
+    return [[Fraction(1)]] + [berlekamp.char_poly(terms, d) for d in range(1, count)]

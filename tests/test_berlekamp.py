@@ -7,9 +7,9 @@ from fractions import Fraction
 import pytest
 
 from riordankit import berlekamp, riordan, sequences, series
-from riordankit.errors import InsufficientTerms, SingularSystem
+from riordankit.errors import CrossCheckFailed, InsufficientTerms, SingularSystem
 
-from helpers import det_cofactor, poly_eval
+from helpers import characteristic_rows_by_window, det_cofactor, poly_eval
 
 C3 = sequences.family_terms("catalan", 8, 3)
 
@@ -104,6 +104,52 @@ def test_companion_char_poly_consistency():
                 for i in range(d)
             ]
             assert det_cofactor(block) == poly_eval(coeffs, t)
+
+
+@pytest.mark.parametrize("k", range(3))
+def test_companion_rejects_a_perturbed_characteristic_polynomial(monkeypatch, k):
+    true_char_poly = berlekamp.char_poly
+
+    def perturbed(a, d):
+        coeffs = true_char_poly(a, d)
+        coeffs[k] += 1
+        return coeffs
+
+    monkeypatch.setattr(berlekamp, "char_poly", perturbed)
+    with pytest.raises(CrossCheckFailed, match="^companion column does not solve"):
+        berlekamp.companion_check(C3, 3)
+
+
+def test_zero_window_and_zero_count_errors():
+    with pytest.raises(ValueError) as err:
+        berlekamp.companion_check(C3, 0)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "window size must be at least 1"
+    with pytest.raises(ValueError) as err:
+        berlekamp.coefficient_riordan_check(3, 0)
+    assert type(err.value) is ValueError
+    assert str(err.value) == "h must satisfy h(0) = 0 and h'(0) != 0"
+
+
+def test_characteristic_rows_match_one_char_poly_per_window():
+    for r in range(1, 9):
+        for count in range(1, 21):
+            assert berlekamp.coefficient_riordan_check(
+                r, count
+            ) == characteristic_rows_by_window(r, count), (r, count)
+
+
+def test_characteristic_rows_take_one_moment_pass(monkeypatch):
+    calls = []
+    chebyshev = berlekamp._chebyshev
+
+    def spy(a):
+        calls.append(len(a))
+        return chebyshev(a)
+
+    monkeypatch.setattr(berlekamp, "_chebyshev", spy)
+    berlekamp.coefficient_riordan_check(3, 12)
+    assert calls == [22]
 
 
 def test_characteristic_rows_form_the_inverse_catalan_array():
