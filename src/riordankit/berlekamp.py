@@ -7,19 +7,21 @@ For a sequence a and window size d, solve
 with H_d the d x d Hankel block.  Row n of the recurrence triangle is the
 solution at window n+1.  The triangle, the monic characteristic
 polynomial, the companion matrix, and two cross-checks against Riordan
-machinery all read it off the moment pass of ``hankel._chebyshev``.
+machinery all read it off the moment pass of ``hankel._chebyshev``, which
+runs through vanishing minors, so a window after a singular one is read
+off it too.  ``solve_bm`` solves one window by elimination, as the oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 from . import riordan, sequences, series
 from .errors import CrossCheckFailed, InsufficientTerms, SingularSystem
 from .hankel import _chebyshev, hankel_matrix
 from .linalg import solve
-from .series import _integer_row, _normal
+from .series import _normal
 
 
 def _window_terms(a, d: int):
@@ -35,22 +37,25 @@ def solve_bm(a, d: int):
     return solve(hankel_matrix(a, d), list(a[d : 2 * d]))
 
 
-def _orthogonal_polys(alpha, beta, count):
-    """The monic orthogonal polynomials pi_1..pi_count of the moment pass,
-    by pi_(k+1) = (x - alpha_k) pi_k - beta_k pi_(k-1), each as ascending
+def _orthogonal_polys(steps):
+    """The monic orthogonal polynomials pi_(s_1), pi_(s_2), ... that the
+    steps (Q, g, D, E) of the moment pass give, by M = Q[-1] and
+    D M pi_(s_(j+1)) = D Q(x) pi_(s_j) - g E pi_(s_(j-1)), each as ascending
     int numerators over one positive denominator (the last numerator),
     with one gcd taken out per polynomial."""
     polys = []
     before, before_den = (), 1
     pi, den = (1,), 1
-    for k in range(count):
-        scales = (Fraction(1, den), alpha[k] / den, beta[k] / before_den)
-        (c0, c1, c2), _ = _integer_row(scales)
-        nxt = [0] + [c0 * c for c in pi]
-        for i, c in enumerate(pi):
-            nxt[i] -= c1 * c
-        for i, c in enumerate(before):
-            nxt[i] -= c2 * c
+    for q, g, d, e in steps:
+        # One gcd keeps the multipliers small: pi is normalised anyway.
+        q, g = [c * d * before_den for c in q], g * e * den
+        h = gcd(g, *q)
+        q, g = [c // h for c in q], g // h
+        nxt = [0] * (len(q) - 1) + [q[-1] * x for x in pi]
+        for i, c in enumerate(q[:-1]):
+            if c:
+                nxt[i : i + len(pi)] = [v + c * x for v, x in zip(nxt[i:], pi)]
+        nxt[: len(before)] = [v - g * x for v, x in zip(nxt, before)]
         before, before_den = pi, den
         pi, den = _normal(nxt, nxt[-1])
         polys.append((pi, den))
@@ -65,17 +70,17 @@ def bm_triangle(a, count: int):
 
     The characteristic polynomial of window d is the monic orthogonal
     polynomial pi_d of the moment pass, so row d-1 is -(the coefficients of
-    pi_d below x^d), built up by the three-term recurrence.  The pass stops
-    at the first vanishing leading minor, which is the first singular
-    window.
+    pi_d below x^d).  The rows stop at the first vanishing leading minor,
+    which is the first singular window.
     """
     if count < 0:
         raise ValueError("count must not be negative")
     windows = min(count, len(a) // 2)
-    _, alpha, beta, solved = _chebyshev(a[: 2 * windows])
+    _, steps = _chebyshev(a[: 2 * windows])
+    solved = next((j for j, (q, *_) in enumerate(steps) if len(q) > 2), len(steps))
     rows = [
         [Fraction(-c, den) for c in pi[:-1]]
-        for pi, den in _orthogonal_polys(alpha, beta, solved)
+        for pi, den in _orthogonal_polys(steps[:solved])
     ]
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)
@@ -87,15 +92,15 @@ def bm_triangle(a, count: int):
 def char_poly(a, d: int):
     """Ascending coefficients of the monic polynomial x^d - sum g_(i+1) x^i.
 
-    That is pi_d of the moment pass when no leading minor of H_d vanishes;
-    otherwise window d alone is solved (``solve_bm``), since H_d may be
-    invertible after a singular H_k, k < d.
+    That is pi_d of the moment pass, which exists when H_d is invertible,
+    also after a singular H_k, k < d: the pass runs through vanishing
+    minors.  A singular H_d raises SingularSystem(d).
     """
     _window_terms(a, d)
-    _, alpha, beta, done = _chebyshev(a[: 2 * d])
-    if done < d:
-        return [-c for c in solve_bm(a, d)] + [Fraction(1)]
-    pi, den = _orthogonal_polys(alpha, beta, d)[-1]
+    polys = _orthogonal_polys(_chebyshev(a[: 2 * d])[1])
+    if not polys or len(polys[-1][0]) != d + 1:
+        raise SingularSystem(d)
+    pi, den = polys[-1]
     return [Fraction(c, den) for c in pi]
 
 

@@ -2,14 +2,15 @@
 
 The Hankel transform of a sequence is the sequence of determinants of its
 leading Hankel blocks.  One O(n^2) pass over the sequence as a moment
-sequence, Chebyshev's algorithm, gives the LDL^T factors of every Hankel
-matrix, the transform (the partial products of the diagonal) and the
-J-fraction of the monic orthogonal polynomials.  The pass runs on int
-numerators over one denominator per row, in the layout of FLINT's
-``fmpq_poly``.  The default ``spot`` transform certifies it in O(n^2)
-mod a 61-bit prime.  The fraction-free Bareiss elimination is the
-independent exact route: it is ``method="bareiss"``, and ``spot`` falls
-back to it when the prime divides a pivot or a denominator.
+sequence, Chebyshev's algorithm carried through vanishing minors (Han's
+H-fraction), gives every determinant, zeros included, the LDL^T factors
+of every Hankel matrix with nonzero leading minors, and the monic
+orthogonal polynomials.  The pass runs on int numerators over one
+denominator per row, in the layout of FLINT's ``fmpq_poly``.  The default
+``spot`` transform certifies it in O(n^2) mod a 61-bit prime, and falls
+back to the pivots of one fraction-free Bareiss elimination, the
+independent exact route, when the prime divides a pivot or a denominator.
+The per-order ``bareiss_det`` stays public as an oracle.
 """
 
 from __future__ import annotations
@@ -63,52 +64,73 @@ class LDLDecomp:
 
 
 def _chebyshev(a):
-    """Chebyshev's algorithm on the terms a_0..a_(N-1) read as moments.
+    """Chebyshev's algorithm on the terms a_0..a_(N-1) read as moments,
+    carried through vanishing leading minors as Han's H-fraction.
 
-    With pi_k the monic orthogonal polynomials of the moment functional
-    x^l -> a_l, row k of ``sigma`` holds sigma_(k,l) = <pi_k, x^l> for
-    l = k..N-1-k, stored from l = k on as (numerators, denominator):
-    sigma_(k,k+j) is ``num[j] / den``, with den > 0 and one gcd taken out
-    per row.  sigma_(k,k) is the LDL^T diagonal entry D[k] of every Hankel
-    matrix of the sequence, sigma_(k,l) / sigma_(k,k) is its unit-factor
-    entry L[l][k], and (alpha_k, beta_k), Fractions, is the J-fraction of
-    the three-term recurrence pi_(k+1) = (x - alpha_k) pi_k - beta_k pi_(k-1),
-    with beta_0 = a_0.
+    The monic orthogonal polynomial pi_s of the moment functional
+    x^l -> a_l exists at the regular indices s_0 = 0 < s_1 < ..., where
+    the Hankel minor H_s is nonzero.  Row j of ``rows`` holds
+    sigma_l = <pi_(s_j), x^l>, l = s_j..N-1-s_j, as (numerators, den):
+    sigma_(s_j+i) is ``num[i] / den``, den > 0, one gcd taken out.  With no
+    vanishing minor, s_j = j, num[0] / den is the LDL^T diagonal entry D[j]
+    of every Hankel matrix of the sequence and num[i] / num[0] its
+    unit-factor entry L[j+i][j].
 
-    Returns (sigma, alpha, beta, completed steps): the pass ends at the
-    first zero sigma_(k,k), where the leading (k+1)-minor vanishes, so
-    ``sigma`` has one row more than the steps completed then.  Each row is
-    two entries shorter than the one before it: N terms give (N+1) // 2
-    rows, and alpha_k needs sigma_(k,k+1), so an odd N gives one alpha
-    fewer than beta.  Gautschi, *Orthogonal Polynomials* (2004), 2.1.7.
+    Let row j = N/D have k leading zeros and first nonzero entry c = N[k],
+    and row j-1 = P/E have p = P[k'].  Then s_(j+1) = s_j + k + 1,
+    H_(s_(j+1)) = H_(s_j) (-1)^(k(k+1)/2) (c/D)^(k+1), the orders in
+    between vanish, and with M = p c^(k+1)
 
-    With row k = N/D and row k-1 = P/E, the step
-    sigma_(k+1,l) = sigma_(k,l+1) - alpha_k sigma_(k,l) - beta_k sigma_(k-1,l)
-    multiplied through by D N_0 P_0 is an integer combination of N and P
-    (E cancels).  A row (1, 0, 0, ...) over 1 before row 0 turns the
-    general step into the first one.
+        D M pi_(s_(j+1)) = D Q(x) pi_(s_j) - c^(k+2) E pi_(s_(j-1)),
+
+    Q of degree k+1 with leading coefficient M and lower ones from the
+    window equations at l = s_j..s_j+k, each by an exact division by c.
+    Row j+1 is the same integer combination of N and P over D M (E
+    cancels); a row (1, 0, 0, ...) over 1 stands before row 0.  With k = 0
+    this is the J-fraction step pi_(j+1) = (x - alpha_j) pi_j - beta_j
+    pi_(j-1).  Gautschi, *Orthogonal Polynomials* (2004), 2.1.7; Han,
+    *Adv. Math.* 303 (2016).
+
+    Returns (rows, steps), step j = (Q, c^(k+2), D, E) as ints.  The pass
+    ends when the terms no longer determine a step (N - 2 s_j < 2k + 2)
+    or the next row would be empty.
     """
     num, den = _integer_row(a)
-    sigma, alpha, beta = [(num, den)], [], []
-    low, low_den = [1] + [0] * len(num), 1
-    while num and num[0] != 0:
-        n0, p0 = num[0], low[0]
-        beta.append(Fraction(n0 * low_den, den * p0))
-        if len(num) > 1:
-            alpha.append(Fraction(num[1], n0) - Fraction(low[1], p0))
-        if len(num) < 3:
-            return sigma, alpha, beta, len(sigma)
-        c0, c1, c2 = n0 * p0, num[1] * p0 - low[1] * n0, n0 * n0
+    rows, steps = [(num, den)], []
+    low, low_den, kp = [1] + [0] * len(num), 1, 0
+    while True:
+        k = _leading_zeros(num)
+        if len(num) < 2 * k + 2:
+            return rows, steps
+        c = num[k]
+        lead = c ** (k + 1)
+        q = [0] * (k + 1) + [low[kp] * lead]
+        for t in range(k + 1):
+            known = sum(q[i] * num[t + i] for i in range(k + 1 - t, k + 2))
+            q[k - t] = lead * low[kp + 1 + t] - known // c
+        gamma = lead * c
+        steps.append((q, gamma, den, low_den))
+        if len(num) < 2 * k + 3:
+            return rows, steps
         nxt = [
-            c0 * num[j + 2] - c1 * num[j + 1] - c2 * low[j + 2]
-            for j in range(len(num) - 2)
+            q[-1] * x + q[-2] * y - gamma * z
+            for x, y, z in zip(num[2 * k + 2 :], num[2 * k + 1 :], low[k + kp + 2 :])
         ]
-        scale = den * c0
+        for i in range(k):
+            if q[i]:
+                nxt = [v + q[i] * x for v, x in zip(nxt, num[k + 1 + i :])]
+        scale = den * q[-1]
         g = gcd(scale, *nxt) if scale > 0 else -gcd(scale, *nxt)
-        low, low_den = num, den
-        num, den = [c // g for c in nxt], scale // g
-        sigma.append((num, den))
-    return sigma, alpha, beta, len(sigma) - 1
+        low, low_den, kp = num, den, k
+        num, den = [x // g for x in nxt], scale // g
+        rows.append((num, den))
+
+
+def _leading_zeros(num):
+    k = 0
+    while k < len(num) and num[k] == 0:
+        k += 1
+    return k
 
 
 def _is_hankel(h) -> bool:
@@ -132,11 +154,12 @@ def ldl(h) -> LDLDecomp:
                 raise ValueError("matrix is not symmetric")
     if not h or not _is_hankel(h):
         return _ldl_dense(h)
-    sigma, _, _, done = _chebyshev(list(h[0]) + [h[i][n - 1] for i in range(1, n)])
-    if done < n:
-        raise SingularLeadingMinor(done)
-    d = [Fraction(num[0], den) for num, den in sigma[:n]]
-    nums = [num for num, _ in sigma[:n]]
+    rows = _chebyshev(list(h[0]) + [h[i][n - 1] for i in range(1, n)])[0][:n]
+    for k, (num, _) in enumerate(rows):
+        if num[0] == 0:
+            raise SingularLeadingMinor(k)
+    d = [Fraction(num[0], den) for num, den in rows]
+    nums = [num for num, _ in rows]
     l = [
         [Fraction(nums[k][i - k], nums[k][0]) for k in range(i)] + [Fraction(1)]
         for i in range(n)
@@ -170,16 +193,16 @@ def _ldl_dense(h) -> LDLDecomp:
 def hankel_transform(a, count: int, method: str = "spot"):
     """First ``count`` Hankel determinants of the sequence.
 
-    Methods: ``ldl`` (partial products of the LDL^T diagonal, from the
-    moment pass), ``bareiss`` (an independent fraction-free determinant per
-    order, the only route that reports a vanishing minor as a value), or
-    ``both`` and the default ``spot``, which are the same: the moment pass
-    with an O(n^2) certificate mod the prime 2^61 - 1 (see ``_certify``).
-    Should a residue the certificate divides by vanish mod that prime, the
-    determinants are checked against the pivots of one exact Bareiss pass
-    instead, which are the leading minors.  Integer terms give integers (a
-    proper fraction raises IntegralityViolation); other exact terms give
-    their exact values.
+    Every method reads them off the moment pass (``_chebyshev``), which
+    runs through vanishing minors; ``bareiss`` is the only method that
+    reports them as values.  ``ldl`` raises SingularLeadingMinor at the
+    first one, and so do ``both`` and the default ``spot``, which are
+    the same: the pass with an O(n^2) certificate mod the prime 2^61 - 1
+    (see ``_certify``).  Should a residue the certificate divides by
+    vanish mod that prime, the determinants are checked against the pivots
+    of one exact Bareiss pass instead, which are the leading minors.
+    Integer terms give integers (a proper fraction raises
+    IntegralityViolation); other exact terms give Fractions.
     """
     if count < 1:
         raise ValueError("count must be at least 1")
@@ -189,18 +212,12 @@ def hankel_transform(a, count: int, method: str = "spot"):
         )
     if method not in ("ldl", "bareiss", "both", "spot"):
         raise ValueError(f"unknown method {method!r}")
-    if method == "bareiss":
-        return [bareiss_det(hankel_matrix(a, n + 1)) for n in range(count)]
     terms = a[: 2 * count - 1]
-    sigma, _, _, done = _chebyshev(terms)
-    if done < count:
-        raise SingularLeadingMinor(done)
-    values = []
-    acc = Fraction(1)
-    for num, den in sigma[:count]:
-        acc *= Fraction(num[0], den)
-        values.append(acc)
-    if method != "ldl" and not _certify(terms, sigma, count):
+    rows, _ = _chebyshev(terms)
+    values = _minors(rows, count)
+    if method != "bareiss" and 0 in values:
+        raise SingularLeadingMinor(values.index(0))
+    if method in ("both", "spot") and not _certify(terms, rows, count):
         # No leading minor vanishes, so the Bareiss pass never swaps.
         h = hankel_matrix(a, count)
         _eliminate(h, count)
@@ -213,6 +230,21 @@ def hankel_transform(a, count: int, method: str = "spot"):
     if all(isinstance(v, int) for v in terms):
         return [as_int(v) for v in values]
     return values
+
+
+def _minors(rows, count):
+    """H_1..H_count off the rows of the moment pass, zeros included."""
+    values, acc = [], Fraction(1)
+    for num, den in rows:
+        k = _leading_zeros(num)
+        values += [Fraction(0)] * k
+        if len(num) < 2 * k + 1:
+            # Every minor the terms reach has a zero first row.
+            break
+        c = Fraction(num[k], den)
+        acc *= c ** (k + 1) * (-1) ** (k * (k + 1) // 2) if k else c
+        values.append(acc)
+    return (values + [Fraction(0)] * count)[:count]
 
 
 # The certificate works mod the Mersenne prime 2^61 - 1 with the vector

@@ -570,7 +570,7 @@ def check_ldl(r_max, n_max):
                 out,
                 f"ldl-bareiss-agreement-{name}-r{r}",
                 "partial products of the LDL^T diagonal equal the Bareiss minors",
-                hankel.hankel_transform(terms, m, method="bareiss"),
+                [linalg.bareiss_det(hankel.hankel_matrix(terms, n + 1)) for n in range(m)],
                 list(accumulate(dec.d, mul)),
                 family=name,
                 r=r,

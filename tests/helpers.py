@@ -4,7 +4,8 @@ Everything here trades speed for obviousness: cofactor determinants,
 direct summation formulas, point-evaluation of polynomials, untruncated
 Horner composition, coefficient-by-coefficient series reversion, the
 series kernels and the bivariate expander on Fraction coefficients, the
-moment pass on Fractions, the characteristic rows one window at a time,
+moment pass on Fractions through vanishing minors, the characteristic
+rows one window at a time,
 and the named Riordan arrays as group inverses of their rational partners
 or rebuilt from their production matrix.  The
 library must agree with these on every tested input.
@@ -50,29 +51,37 @@ def naive_hankel_transform(terms, count):
 
 
 def fraction_chebyshev(a):
-    """Chebyshev's algorithm on Fractions: (sigma, alpha, beta, completed
-    steps) as ``hankel._chebyshev`` returns them, with each sigma row a list
-    of Fractions, sigma[k][j] = sigma_(k,k+j)."""
+    """Chebyshev's algorithm on Fractions, carried through vanishing
+    minors one window equation at a time: (rows, steps) as
+    ``hankel._chebyshev`` returns them, with rows[j][i] = sigma_(s_j+i) a
+    Fraction and step j as (q, gamma), Fractions, for
+    pi_(s_(j+1)) = q(x) pi_(s_j) - gamma pi_(s_(j-1)), q monic of degree
+    k_j + 1.  With every k_j = 0, q = (-alpha_j, 1) and gamma = beta_j."""
     row = [Fraction(v) for v in a]
-    sigma, alpha, beta = [row], [], []
-    prev = None
-    while row and row[0] != 0:
-        beta.append(row[0] / prev[0] if prev else row[0])
-        if len(row) > 1:
-            alpha.append(row[1] / row[0] - (prev[1] / prev[0] if prev else 0))
-        if len(row) < 3:
-            return sigma, alpha, beta, len(sigma)
-        ak, bk = alpha[-1], beta[-1]
-        if prev:
-            nxt = [
-                row[j + 2] - ak * row[j + 1] - bk * prev[j + 2]
-                for j in range(len(row) - 2)
-            ]
-        else:
-            nxt = [row[j + 2] - ak * row[j + 1] for j in range(len(row) - 2)]
-        prev, row = row, nxt
-        sigma.append(row)
-    return sigma, alpha, beta, len(sigma) - 1
+    rows, steps = [row], []
+    prev, kp = [Fraction(1)] + [Fraction(0)] * len(row), 0
+    while True:
+        k = next((i for i, v in enumerate(row) if v), len(row))
+        if len(row) < 2 * k + 2:
+            return rows, steps
+        c = row[k]
+        gamma = c / prev[kp]
+        q = [Fraction(0)] * (k + 1) + [Fraction(1)]
+        # Window equation at l = s_j + t: sum_i q_i sigma_(l+i) = gamma
+        # times the previous row's sigma_l.
+        for t in range(k + 1):
+            known = sum(q[i] * row[t + i] for i in range(k - t + 1, k + 2))
+            q[k - t] = (gamma * prev[kp + 1 + t] - known) / c
+        steps.append((q, gamma))
+        if len(row) < 2 * k + 3:
+            return rows, steps
+        nxt = [
+            sum(q[i] * row[j + k + 1 + i] for i in range(k + 2))
+            - gamma * prev[j + k + kp + 2]
+            for j in range(len(row) - 2 * k - 2)
+        ]
+        prev, kp, row = row, k, nxt
+        rows.append(row)
 
 
 def _fmul(a, b, n):

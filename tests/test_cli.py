@@ -434,3 +434,51 @@ def test_cli_sweep_digest_is_pinned(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         digest.update(repr((argv, stdin, code, out, err)).encode())
     assert digest.hexdigest() == SWEEP_DIGEST
+
+
+# sha256 of the exit code, stdout and stderr of every command in
+# ``zero_rich_commands``: the routes that run on past a vanishing leading
+# minor, on inputs whose minors vanish in runs.
+ZERO_RICH_DIGEST = "18b3ac79a77a0b9577762c3928793c76f7158ba5d2984bdeffd3126e82e4b582"
+
+
+def zero_rich_stdin(p):
+    """32 seeded terms (20 for every tenth input) rich in vanishing Hankel
+    minors: sparse {0, +-1}, few-atom moments, leading zeros, short
+    recurrences, and terms of +-(2^61 - 1)."""
+    rng = random.Random(f"zero-rich-{p}")
+    kind = p % 5
+    if kind == 0:
+        terms = [rng.choice((0, 0, 0, 1, -1)) for _ in range(32)]
+    elif kind == 1:
+        atoms = [(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(rng.randint(1, 5))]
+        terms = [sum(w * x**n for x, w in atoms) for n in range(32)]
+    elif kind == 2:
+        zeros = rng.randint(1, 4)
+        terms = [0] * zeros + [rng.choice((0, 1, -1, 2)) for _ in range(32 - zeros)]
+    elif kind == 3:
+        terms = [rng.choice((0, 1)), rng.choice((0, 1, -1))]
+        c = [rng.choice((0, 1, -1)) for _ in range(2)]
+        while len(terms) < 32:
+            terms.append(c[0] * terms[-1] + c[1] * terms[-2])
+    else:
+        terms = [rng.choice((0, 0, 1, 2**61 - 1, -(2**61 - 1))) for _ in range(32)]
+    return " ".join(map(str, terms[: 20 if p % 10 == 9 else 32])) + "\n"
+
+
+def zero_rich_commands():
+    for p in range(40):
+        stdin = zero_rich_stdin(p)
+        for n in range(1, 17):
+            yield ["hankel", "transform", "--method", "bareiss", "--count", str(n)], stdin
+            yield ["hankel", "charpoly", "--size", str(n)], stdin
+            yield ["hankel", "bm", "--rows", str(n)], stdin
+
+
+def test_zero_rich_digest_is_pinned(capsys, monkeypatch):
+    digest = hashlib.sha256()
+    for argv, stdin in zero_rich_commands():
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(repr((argv, stdin, code, out, err)).encode())
+    assert digest.hexdigest() == ZERO_RICH_DIGEST

@@ -25,6 +25,7 @@ from riordankit.errors import (
 from helpers import det_cofactor, fraction_chebyshev
 
 METHODS = ("ldl", "bareiss", "both", "spot")
+P61 = 2**61 - 1
 
 
 def outcome(fn, *args):
@@ -143,7 +144,13 @@ def test_recurrence_routes_match_per_window_solves():
 def moment_terms(rng, kind, length):
     """Terms from {-3..3} (kind 0), moments of a measure with up to nine
     atoms, whose minors vanish past the atom count (1), sparse terms whose
-    minors vanish and recover (2), or Fractions (3)."""
+    minors vanish and recover (2), Fractions (3), sparse terms with
+    +-(2^61 - 1) among them (4), or sparse Fractions (5)."""
+    if kind == 4:
+        return [rng.choice((0, 0, 0, 1, -1, P61, -P61)) for _ in range(length)]
+    if kind == 5:
+        entries = (0, 0, 0, 1, Fraction(1, 2), Fraction(-3, 2))
+        return [rng.choice(entries) for _ in range(length)]
     if kind == 0:
         return [rng.randint(-3, 3) for _ in range(length)]
     if kind == 1:
@@ -161,12 +168,17 @@ def test_integer_row_engine_matches_the_fraction_oracle():
     for _ in range(240):
         length = rng.choice((0, 1, 2, rng.randint(3, 24)))
         a = moment_terms(rng, rng.randrange(4), length)
-        sigma, alpha, beta, done = hankel._chebyshev(a)
-        for num, den in sigma:
+        rows, steps = hankel._chebyshev(a)
+        for num, den in rows:
             assert den > 0 and gcd(den, *num) == 1, (a, num, den)
-        rows = [[Fraction(c, den) for c in num] for num, den in sigma]
-        assert repr((rows, alpha, beta, done)) == repr(fraction_chebyshev(a)), a
-        stops.add(done < len(sigma))
+        fractions = [[Fraction(c, den) for c in num] for num, den in rows]
+        ratios = [
+            ([Fraction(c, q[-1]) for c in q], Fraction(g * e, q[-1] * d))
+            for q, g, d, e in steps
+        ]
+        assert repr((fractions, ratios)) == repr(fraction_chebyshev(a)), a
+        # Passes with and without a block step over vanishing minors.
+        stops.add(any(len(q) > 2 for q, *_ in steps))
     assert stops == {True, False}
 
 
@@ -182,16 +194,72 @@ def test_char_poly_matches_window_solves():
         for d in range(1, 26):
             expected = outcome(window_char_poly, a, d)
             assert repr(outcome(berlekamp.char_poly, a, d)) == repr(expected), (a, d)
-            engine_done = hankel._chebyshev(a[: 2 * d])[3] >= d
-            seen.add((expected[0], engine_done))
-    # Both routes give values, and windows after a vanishing minor are
-    # solved as well as found singular.
+            steps = hankel._chebyshev(a[: 2 * d])[1]
+            no_minor_vanishes = [len(q) for q, *_ in steps[:d]] == [2] * d
+            seen.add((expected[0], no_minor_vanishes))
+    # Both kinds of window give values, and windows after a vanishing
+    # minor are solved as well as found singular.
     assert seen == {
         ("value", True),
         ("value", False),
         (SingularSystem, False),
         (InsufficientTerms, False),
     }
+
+
+def test_moment_pass_through_vanishing_minors_matches_per_order_routes():
+    # Every method against one Bareiss determinant per order, and
+    # char_poly and bm_triangle against one solve per window, on terms
+    # whose minors vanish in runs; odd lengths end the terms inside a
+    # zero block as often as not.
+    rng = random.Random(2016)
+    seen = set()
+    for kind in (1, 2, 4, 5) * 12:
+        a = moment_terms(rng, kind, rng.randint(1, 33))
+        for count in range(1, (len(a) + 1) // 2 + 1):
+            minors = [
+                linalg.bareiss_det(hankel.hankel_matrix(a, n + 1))
+                for n in range(count)
+            ]
+            assert hankel.hankel_transform(a, count, method="bareiss") == minors
+            for method in ("ldl", "both", "spot"):
+                if 0 in minors:
+                    with pytest.raises(SingularLeadingMinor) as err:
+                        hankel.hankel_transform(a, count, method=method)
+                    assert err.value.index == minors.index(0), (a, count)
+                else:
+                    assert hankel.hankel_transform(a, count, method=method) == minors
+            text = "".join("0" if m == 0 else "x" for m in minors)
+            seen.add("run" if "00x" in text else "end" if text.endswith("00") else "")
+        for d in range(1, len(a) // 2 + 2):
+            expected = outcome(window_char_poly, a, d)
+            assert repr(outcome(berlekamp.char_poly, a, d)) == repr(expected), (a, d)
+            expected = outcome(per_window_triangle, a, d)
+            assert repr(outcome(berlekamp.bm_triangle, a, d)) == repr(expected), (a, d)
+            seen.add(expected[0])
+    assert seen >= {"run", "end", "value", SingularSystem, InsufficientTerms}
+
+
+def test_routes_past_a_vanishing_minor_stay_on_the_moment_pass(monkeypatch):
+    a = [0, 0, 1, 0, 0, 0, 2, 1, 0, 0, 1, 3, 0, 1, 0]
+    minors = [linalg.bareiss_det(hankel.hankel_matrix(a, n + 1)) for n in range(8)]
+    windows = [outcome(window_char_poly, a, d) for d in range(1, 8)]
+    assert minors[:2] == [0, 0] and 0 not in minors[2:]
+    assert windows[1][0] is SingularSystem and windows[2][0] == "value"
+
+    def forbidden(*args):
+        raise AssertionError("left the moment pass")
+
+    for module in (hankel, linalg, berlekamp):
+        for name in ("bareiss_det", "solve", "solve_bm", "_eliminate"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+    assert hankel.hankel_transform(a, 8, method="bareiss") == minors
+    assert [outcome(berlekamp.char_poly, a, d) for d in range(1, 8)] == windows
+    with pytest.raises(SingularSystem):
+        berlekamp.bm_triangle(a, 7)
+    for method in METHODS:
+        assert hankel.hankel_transform([1, 2, 5, 14, 42], 3, method=method) == [1, 1, 1]
 
 
 def test_hankel_methods_match_cofactor_minors():

@@ -178,10 +178,10 @@ def corrupted_engine(k, j):
     engine = hankel._chebyshev
 
     def corrupt(a):
-        sigma, alpha, beta, done = engine(a)
-        num, den = sigma[k]
-        sigma[k] = (num[:j] + [num[j] + den] + num[j + 1 :], den)
-        return sigma, alpha, beta, done
+        rows, steps = engine(a)
+        num, den = rows[k]
+        rows[k] = (num[:j] + [num[j] + den] + num[j + 1 :], den)
+        return rows, steps
 
     return corrupt
 
