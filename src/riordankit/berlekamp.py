@@ -76,7 +76,7 @@ def bm_triangle(a, count: int):
     if count < 0:
         raise ValueError("count must not be negative")
     windows = min(count, len(a) // 2)
-    _, steps = _chebyshev(a[: 2 * windows])
+    _, steps = _chebyshev(a[: 2 * windows], stop_at_zero=True)
     solved = next((j for j, (q, *_) in enumerate(steps) if len(q) > 2), len(steps))
     rows = [
         [Fraction(-c, den) for c in pi[:-1]]

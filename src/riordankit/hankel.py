@@ -63,7 +63,7 @@ class LDLDecomp:
         return out
 
 
-def _chebyshev(a):
+def _chebyshev(a, *, stop_at_zero=False):
     """Chebyshev's algorithm on the terms a_0..a_(N-1) read as moments,
     carried through vanishing leading minors as Han's H-fraction.
 
@@ -93,14 +93,16 @@ def _chebyshev(a):
 
     Returns (rows, steps), step j = (Q, c^(k+2), D, E) as ints.  The pass
     ends when the terms no longer determine a step (N - 2 s_j < 2k + 2)
-    or the next row would be empty.
+    or the next row would be empty, and with ``stop_at_zero`` right after
+    the first row with a leading zero, the first vanishing minor, for
+    callers that fail there.
     """
     num, den = _integer_row(a)
     rows, steps = [(num, den)], []
     low, low_den, kp = [1] + [0] * len(num), 1, 0
     while True:
         k = _leading_zeros(num)
-        if len(num) < 2 * k + 2:
+        if len(num) < 2 * k + 2 or k and stop_at_zero:
             return rows, steps
         c = num[k]
         lead = c ** (k + 1)
@@ -154,7 +156,8 @@ def ldl(h) -> LDLDecomp:
                 raise ValueError("matrix is not symmetric")
     if not h or not _is_hankel(h):
         return _ldl_dense(h)
-    rows = _chebyshev(list(h[0]) + [h[i][n - 1] for i in range(1, n)])[0][:n]
+    terms = list(h[0]) + [h[i][n - 1] for i in range(1, n)]
+    rows = _chebyshev(terms, stop_at_zero=True)[0][:n]
     for k, (num, _) in enumerate(rows):
         if num[0] == 0:
             raise SingularLeadingMinor(k)
@@ -213,7 +216,7 @@ def hankel_transform(a, count: int, method: str = "spot"):
     if method not in ("ldl", "bareiss", "both", "spot"):
         raise ValueError(f"unknown method {method!r}")
     terms = a[: 2 * count - 1]
-    rows, _ = _chebyshev(terms)
+    rows, _ = _chebyshev(terms, stop_at_zero=method != "bareiss")
     values = _minors(rows, count)
     if method != "bareiss" and 0 in values:
         raise SingularLeadingMinor(values.index(0))

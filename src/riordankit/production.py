@@ -4,18 +4,25 @@ If A is lower-triangular with rows row_0, row_1, ..., its production
 matrix P satisfies row_(n+1) = row_n * P.  Extraction inverts that
 relation: P = A^(-1) * (A with its first row removed), truncated to the
 block the finite input can certify, and found by forward substitution
-rather than by forming the inverse.
+rather than by forming the inverse.  The substitution runs column by
+column on int numerators over one denominator per column, and builds a
+Fraction only for a nonzero entry of P that is not an integer: O(N) int
+steps per nonzero entry, so O(N^2) for the tridiagonal P of a Hankel
+factor.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
+from math import gcd
 
 from . import riordan, series
 from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
 from .linalg import pad_square
 from .riordan import RiordanArray
+from .series import _integer_row
 
 
 def production_matrix(a_rows):
@@ -23,10 +30,19 @@ def production_matrix(a_rows):
 
     Consumes an (N+1) x (N+1) block and returns the reliable N x N block
     of P; entries beyond that would need more of A than was supplied.
-    P solves L P = S, with L the leading N x N block and S rows 1..N, by
-    one forward substitution, row i of P being
-    (S_i - sum_(k<i) L[i][k] P_k) / L[i][i]; zero entries of L and of P
-    are skipped, so a banded P costs O(N^2).
+    P solves L P = S, with L the leading N x N block and S rows 1..N.
+
+    Each of the first N columns of the block is held as int numerators
+    over one denominator, and column j of P is L^-1 (column j of S) by a
+    forward substitution on int residuals over one running denominator.
+    A nonzero residual at row i gives P[i][j]; it is eliminated from the
+    rows below by one integer combination of the residuals with column i
+    of L, the denominator taking up the reduced pivot.  A zero residual is
+    an exact zero entry and costs one test, so the work is O(N) per
+    nonzero entry of P: O(N^2) for a banded P such as the tridiagonal
+    one of a Hankel factor, O(N^3) for a dense Hessenberg P.  Entries are
+    ints where the value is an integer (zeros included) and Fractions
+    otherwise.
     """
     full = pad_square(a_rows)
     n = len(full) - 1
@@ -35,22 +51,47 @@ def production_matrix(a_rows):
     for i in range(n):
         if full[i][i] == 0:
             raise SingularDiagonal(f"zero diagonal entry at index {i}")
-    p = []
-    nonzero = []
-    for i in range(n):
-        row = full[i + 1][:n]
-        li = full[i]
-        for k in range(i):
-            lik = li[k]
-            if lik:
-                for j, v in nonzero[k]:
-                    row[j] -= lik * v
-        if li[i] != 1:
-            scale = Fraction(1) / li[i]
-            row = [v * scale for v in row]
-        p.append(row)
-        nonzero.append([(j, v) for j, v in enumerate(row) if v])
+    cols = _columns(full, n)
+    p = [[0] * n for _ in range(n)]
+    for j, (col, den) in enumerate(cols):
+        # Row i of S minus the rows of L P eliminated so far is res[i] / den.
+        res = col[1:]
+        for i in range(n):
+            t = res[i]
+            if not t:
+                continue
+            lower, li = cols[i]
+            c = lower[i]
+            # P[i][j] = (t / den) / (c / li).
+            q, rem = divmod(t * li, den * c)
+            p[i][j] = Fraction(t * li, den * c) if rem else q
+            g = gcd(t, c)
+            a, b = c // g, t // g
+            if a < 0:
+                a, b = -a, -b
+            den *= a
+            if a == 1:
+                res[i + 1 :] = [x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])]
+            else:
+                res[i + 1 :] = [
+                    a * x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])
+                ]
     return p
+
+
+def _columns(full, n):
+    """The first n columns of the square block as (int numerators, den).
+
+    No solve reads row 0 of a column k > 0, and when rows 1..k-1 of column
+    k are zero, as in a lower-triangular array, only rows k..N are
+    converted; the rows skipped hold int zeros.
+    """
+    cols = []
+    for k, col in enumerate(islice(zip(*full), n)):
+        top = 1 if any(col[1:k]) else k
+        num, den = _integer_row(col[top:])
+        cols.append(([0] * top + num, den))
+    return cols
 
 
 def matrix_from_production(p, dim: int):

@@ -6,9 +6,10 @@ Horner composition, coefficient-by-coefficient series reversion, the
 series kernels and the bivariate expander on Fraction coefficients, the
 moment pass on Fractions through vanishing minors, the characteristic
 rows one window at a time,
-and the named Riordan arrays as group inverses of their rational partners
-or rebuilt from their production matrix.  The
-library must agree with these on every tested input.
+the named Riordan arrays as group inverses of their rational partners
+or rebuilt from their production matrix, and the production matrix by a
+forward substitution on Fraction rows.  The library must agree with
+these on every tested input.
 """
 
 from __future__ import annotations
@@ -22,8 +23,10 @@ from riordankit.errors import (
     NonUnitConstant,
     NonzeroInnerConstant,
     NotRevertible,
+    SingularDiagonal,
     ZeroConstantDivisor,
 )
+from riordankit.linalg import pad_square
 
 
 def det_cofactor(m):
@@ -287,3 +290,32 @@ def characteristic_rows_by_window(r, count):
     """``coefficient_riordan_check`` rows by one ``char_poly`` per window."""
     terms = [sequences.gen_catalan(n, r) for n in range(2 * max(count - 1, 1))]
     return [[Fraction(1)]] + [berlekamp.char_poly(terms, d) for d in range(1, count)]
+
+
+def fraction_production_matrix(a_rows):
+    """``production.production_matrix`` by forward substitution on rows:
+    row i of P is (S_i - sum_(k<i) L[i][k] P_k) / L[i][i], one Fraction
+    operation per entry, zero entries of L and of P skipped."""
+    full = pad_square(a_rows)
+    n = len(full) - 1
+    if n < 1:
+        raise ValueError("need at least two rows to extract a production matrix")
+    for i in range(n):
+        if full[i][i] == 0:
+            raise SingularDiagonal(f"zero diagonal entry at index {i}")
+    p = []
+    nonzero = []
+    for i in range(n):
+        row = full[i + 1][:n]
+        li = full[i]
+        for k in range(i):
+            lik = li[k]
+            if lik:
+                for j, v in nonzero[k]:
+                    row[j] -= lik * v
+        if li[i] != 1:
+            scale = Fraction(1) / li[i]
+            row = [v * scale for v in row]
+        p.append(row)
+        nonzero.append([(j, v) for j, v in enumerate(row) if v])
+    return p

@@ -2,7 +2,8 @@
 Fraction one, the routes built on it and the single-pass elimination
 routes against per-window solves, cofactor determinants and dense
 elimination, and the forward-substitution production matrix against the
-inverse-times-shift product, on random, singular and too-short inputs.
+inverse-times-shift product and the Fraction forward substitution, on
+random, singular and too-short inputs.
 Values must be equal; errors must agree in type, message, order/index and
 partial result."""
 
@@ -14,7 +15,7 @@ from math import gcd
 
 import pytest
 
-from riordankit import berlekamp, hankel, linalg, production
+from riordankit import berlekamp, hankel, linalg, production, riordan, sequences
 from riordankit.errors import (
     InsufficientTerms,
     SingularDiagonal,
@@ -22,7 +23,7 @@ from riordankit.errors import (
     SingularSystem,
 )
 
-from helpers import det_cofactor, fraction_chebyshev
+from helpers import det_cofactor, fraction_chebyshev, fraction_production_matrix
 
 METHODS = ("ldl", "bareiss", "both", "spot")
 P61 = 2**61 - 1
@@ -182,6 +183,26 @@ def test_integer_row_engine_matches_the_fraction_oracle():
     assert stops == {True, False}
 
 
+def test_moment_pass_stops_after_the_first_vanishing_minor():
+    # With stop_at_zero the pass is a prefix of the full one that ends
+    # with the first row with a leading zero and takes no step from it.
+    rng = random.Random(2020)
+    stopped = 0
+    for _ in range(240):
+        a = moment_terms(rng, rng.randrange(6), rng.randint(1, 33))
+        rows, steps = hankel._chebyshev(a)
+        first = next((j for j, (num, _) in enumerate(rows) if num[:1] == [0]), None)
+        short = hankel._chebyshev(a, stop_at_zero=True)
+        if first is None:
+            assert short == (rows, steps), a
+        else:
+            stopped += 1
+            assert short == (rows[: first + 1], steps[:first]), a
+    assert stopped > 0
+    rows, steps = hankel._chebyshev([0] + [1, -2, 3] * 100, stop_at_zero=True)
+    assert len(rows) == 1 and steps == []
+
+
 def window_char_poly(a, d):
     return [-c for c in berlekamp.solve_bm(a, d)] + [Fraction(1)]
 
@@ -331,6 +352,66 @@ def test_production_matrix_matches_inverse_times_shift():
         assert outcome(production.production_matrix, rows) == expected, rows
         seen.add(expected[0])
     assert seen == {"value", SingularDiagonal}
+
+
+def production_outcome(fn, rows):
+    try:
+        return ("value", fn(rows))
+    except (ValueError, SingularDiagonal) as exc:
+        return (type(exc), str(exc))
+
+
+def production_inputs(rng):
+    """Blocks of 0 to 24 rows with int, Fraction or mixed entries; unit,
+    non-unit, negative and zero diagonals; rows longer than i + 1; the
+    unit LDL^T factors of family and random Hankel matrices; and the
+    expansions of the named arrays."""
+    pools = (
+        (0, 0, 1, -1, 2, 3, -5),
+        (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(7, 4), Fraction(3)),
+        (0, 0, 1, -2, Fraction(1, 2), Fraction(-5, 3)),
+    )
+    diagonals = ((1,), (1, -1, 2, -3, Fraction(3, 2), Fraction(-1, 5)), (1, 1, 2, 0))
+    for _ in range(300):
+        size = rng.choice((0, 1, 2, rng.randint(3, 24)))
+        pool, diagonal = rng.choice(pools), rng.choice(diagonals)
+        rows = []
+        for i in range(size):
+            row = [rng.choice(pool) for _ in range(i)] + [rng.choice(diagonal)]
+            if rng.randrange(4) == 0:
+                row += [rng.choice(pool) for _ in range(rng.randint(1, 3))]
+            rows.append(row)
+        yield rows
+    for n in (1, 2, 5, 16, 32):
+        for r in (1, 2, 3):
+            for fam in ("catalan", "central", "sum"):
+                terms = sequences.family_terms(fam, 2 * n + 1, r)
+                yield hankel.ldl(hankel.hankel_matrix(terms, n + 1)).l
+        terms = [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(2 * n)]
+        try:
+            yield hankel.ldl(hankel.hankel_matrix(terms, n + 1)).l
+        except SingularLeadingMinor:
+            pass
+    for size in (2, 3, 9, 24):
+        for r in (1, 2, 3):
+            for array in (riordan.l_catalan, riordan.l_central, production.a_p):
+                yield array(r, size).to_matrix(size)
+        yield riordan.binomial(size).to_matrix(size)
+
+
+def test_production_matrix_matches_the_fraction_oracle():
+    rng = random.Random(1300)
+    seen = set()
+    for rows in production_inputs(rng):
+        expected = production_outcome(fraction_production_matrix, rows)
+        got = production_outcome(production.production_matrix, rows)
+        assert got == expected, rows
+        seen.add(expected[0])
+        if got[0] == "value":
+            # Integers come back as ints, other values as Fractions.
+            for v in (v for row in got[1] for v in row):
+                assert type(v) is (int if v.denominator == 1 else Fraction), rows
+    assert seen == {"value", ValueError, SingularDiagonal}
 
 
 def test_determinant_and_solve_match_cofactor_routes():

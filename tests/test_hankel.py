@@ -177,8 +177,8 @@ def corrupted_engine(k, j):
     """The moment pass with sigma_(k,k+j) raised by one."""
     engine = hankel._chebyshev
 
-    def corrupt(a):
-        rows, steps = engine(a)
+    def corrupt(a, **options):
+        rows, steps = engine(a, **options)
         num, den = rows[k]
         rows[k] = (num[:j] + [num[j] + den] + num[j + 1 :], den)
         return rows, steps

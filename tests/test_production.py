@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import random
 from math import comb
 
 import pytest
@@ -158,3 +160,42 @@ def test_pascal_row_sums_stay_powers_of_two():
     )
     assert [sum(row) for row in rows] == [2**n for n in range(6)]
     assert rows[5][2] == comb(5, 2)
+
+
+# sha256 of ``str`` of every entry of ``production_matrix`` on
+# ``digest_inputs``; a new kernel must return the same values and print
+# every one of them the same way.
+PRODUCTION_DIGEST = "7173a5fe14d068af5864a874c394e507fab69840716422771d5b4e1cf39f064b"
+
+
+def digest_inputs():
+    """The unit LDL^T factors of family and random Hankel matrices, and the
+    expansions of the named arrays, as ``production_matrix`` gets them."""
+    rng = random.Random(1300)
+    randoms = [
+        [rng.randint(1, 3)] + [rng.randint(-3, 3) for _ in range(128)]
+        for _ in range(3)
+    ]
+    families = [
+        sequences.family_terms(fam, 129, r)
+        for fam in ("catalan", "central", "sum")
+        for r in (1, 3, 8)
+    ]
+    for terms in families + randoms:
+        for n in (16, 32, 48, 64):
+            yield hankel.ldl(hankel.hankel_matrix(terms, n + 1)).l
+    for r in (1, 3):
+        for n in (8, 24, 40):
+            yield riordan.l_catalan(r, n + 1).to_matrix(n + 1)
+            yield riordan.l_central(r, n + 1).to_matrix(n + 1)
+            yield production.a_p(r, n + 1).to_matrix(n + 1)
+            yield riordan.binomial_power(r, n + 1).to_matrix(n + 1)
+    yield linalg.identity(5)
+
+
+def test_production_digest_is_pinned():
+    digest = hashlib.sha256()
+    for rows in digest_inputs():
+        for row in production.production_matrix(rows):
+            digest.update(" ".join(map(str, row)).encode() + b"\n")
+    assert digest.hexdigest() == PRODUCTION_DIGEST
