@@ -70,28 +70,21 @@ def production_matrix(a_rows):
             if a < 0:
                 a, b = -a, -b
             den *= a
-            if a == 1:
-                res[i + 1 :] = [x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])]
-            else:
-                res[i + 1 :] = [
-                    a * x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])
-                ]
+            res[i + 1 :] = [
+                a * x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])
+            ]
     return p
 
 
 def _columns(full, n):
     """The first n columns of the square block as (int numerators, den).
 
-    No solve reads row 0 of a column k > 0, and when rows 1..k-1 of column
-    k are zero, as in a lower-triangular array, only rows k..N are
-    converted; the rows skipped hold int zeros.
+    No solve reads row 0 of a column k > 0, so it is held as an int zero.
     """
-    cols = []
-    for k, col in enumerate(islice(zip(*full), n)):
-        top = 1 if any(col[1:k]) else k
-        num, den = _integer_row(col[top:])
-        cols.append(([0] * top + num, den))
-    return cols
+    return [
+        _integer_row((0,) + col[1:] if k else col)
+        for k, col in enumerate(islice(zip(*full), n))
+    ]
 
 
 def matrix_from_production(p, dim: int):
