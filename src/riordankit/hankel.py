@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
+from operator import mul
 
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
 from .linalg import _eliminate, as_int, bareiss_det
@@ -44,7 +45,11 @@ def hankel_matrix(a, m: int):
 
 @dataclass
 class LDLDecomp:
-    """Unit lower-triangular factor (ragged rows) and diagonal of H = L D L^T."""
+    """Unit lower-triangular factor (ragged rows) and diagonal of H = L D L^T.
+
+    Entries of L are ints where the value is an integer and Fractions
+    otherwise; D holds Fractions.
+    """
 
     l: list
     d: list
@@ -91,8 +96,12 @@ def _chebyshev(a, *, stop_at_zero=False):
     pi_(j-1).  Gautschi, *Orthogonal Polynomials* (2004), 2.1.7; Han,
     *Adv. Math.* 303 (2016).
 
-    Returns (rows, steps), step j = (Q, c^(k+2), D, E) as ints.  The pass
-    ends when the terms no longer determine a step (N - 2 s_j < 2k + 2)
+    Returns (rows, steps), step j = (Q, g, D, E) as ints, where Q and
+    g = c^(k+2) have their content, gcd(g, *Q), taken out before the row
+    update: a positive scale that leaves the row unchanged.  For a
+    J-fraction with integer alpha_j and beta_j, such as the Catalan and
+    central families, the step is then ((-alpha_j, 1), beta_j, 1, 1).  The
+    pass ends when the terms no longer determine a step (N - 2 s_j < 2k + 2)
     or the next row would be empty, and with ``stop_at_zero`` right after
     the first row with a leading zero, the first vanishing minor, for
     callers that fail there.
@@ -111,6 +120,9 @@ def _chebyshev(a, *, stop_at_zero=False):
             known = sum(q[i] * num[t + i] for i in range(k + 1 - t, k + 2))
             q[k - t] = lead * low[kp + 1 + t] - known // c
         gamma = lead * c
+        g = gcd(gamma, *q)
+        if g != 1:
+            q, gamma = [x // g for x in q], gamma // g
         steps.append((q, gamma, den, low_den))
         if len(num) < 2 * k + 3:
             return rows, steps
@@ -123,8 +135,10 @@ def _chebyshev(a, *, stop_at_zero=False):
                 nxt = [v + q[i] * x for v, x in zip(nxt, num[k + 1 + i :])]
         scale = den * q[-1]
         g = gcd(scale, *nxt) if scale > 0 else -gcd(scale, *nxt)
+        if g != 1:
+            nxt, scale = [x // g for x in nxt], scale // g
         low, low_den, kp = num, den, k
-        num, den = [x // g for x in nxt], scale // g
+        num, den = nxt, scale
         rows.append((num, den))
 
 
@@ -135,38 +149,38 @@ def _leading_zeros(num):
     return k
 
 
-def _is_hankel(h) -> bool:
-    n = len(h)
-    return all(h[i][j] == h[i + 1][j - 1] for i in range(n - 1) for j in range(1, n))
-
-
 def ldl(h) -> LDLDecomp:
     """Exact LDL^T of a symmetric matrix with nonzero leading minors.
 
     D[k] is the ratio of consecutive leading principal minors, so a zero
     D[k] pinpoints the first vanishing minor; that raises
     SingularLeadingMinor(k) rather than silently producing zeros.  A Hankel
-    matrix is factored by the moment pass over its first row and last
-    column, any other symmetric matrix by dense elimination.
+    matrix, told apart by comparing each row with a slice of its first row
+    and last column, is factored by the moment pass over those terms, any
+    other symmetric matrix by dense elimination.
     """
     n = len(h)
-    for i in range(n):
-        for j in range(i):
-            if h[i][j] != h[j][i]:
-                raise ValueError("matrix is not symmetric")
-    if not h or not _is_hankel(h):
+    terms = [*h[0], *(row[-1] for row in h[1:])] if h else []
+    if not all(list(row) == terms[i : i + n] for i, row in enumerate(h)):
+        for i in range(n):
+            for j in range(i):
+                if h[i][j] != h[j][i]:
+                    raise ValueError("matrix is not symmetric")
         return _ldl_dense(h)
-    terms = list(h[0]) + [h[i][n - 1] for i in range(1, n)]
     rows = _chebyshev(terms, stop_at_zero=True)[0][:n]
     for k, (num, _) in enumerate(rows):
         if num[0] == 0:
             raise SingularLeadingMinor(k)
     d = [Fraction(num[0], den) for num, den in rows]
-    nums = [num for num, _ in rows]
-    l = [
-        [Fraction(nums[k][i - k], nums[k][0]) for k in range(i)] + [Fraction(1)]
-        for i in range(n)
+    # Column k of L below the diagonal is num_k[1:] / num_k[0].
+    cols = [
+        [
+            x // num[0] if x % num[0] == 0 else Fraction(x, num[0])
+            for x in num[1 : n - k]
+        ]
+        for k, (num, _) in enumerate(rows)
     ]
+    l = [[cols[k][i - k - 1] for k in range(i)] + [1] for i in range(n)]
     return LDLDecomp(l=l, d=d)
 
 
@@ -187,9 +201,9 @@ def _ldl_dense(h) -> LDLDecomp:
             s -= row[k] * row[k] * d[k]
         if s == 0:
             raise SingularLeadingMinor(i)
-        row.append(Fraction(1))
         l.append(row)
         d.append(s)
+    l = [[v.numerator if v.denominator == 1 else v for v in row] + [1] for row in l]
     return LDLDecomp(l=l, d=d)
 
 
@@ -254,6 +268,7 @@ def _minors(rows, count):
 # v_j = _BASE^j; a fixed base keeps every result and message reproducible.
 _PRIME = (1 << 61) - 1
 _BASE = 0x9E3779B97F4A7C15 % _PRIME
+_BASE_INVERSE = pow(_BASE, -1, _PRIME)
 
 
 def _residue(x):
@@ -266,12 +281,20 @@ def _residue(x):
 
 
 def _hankel_times(terms, v):
-    """H v mod _PRIME for the Hankel matrix of the terms, or None."""
-    h = [_residue(x) for x in terms]
-    if None in h:
+    """H v mod _PRIME for the Hankel matrix of the terms and v_j = _BASE^j,
+    or None.
+
+    Row i+1 of H is row i shifted left by one, so
+    (H v)_(i+1) = ((H v)_i - a_i) / _BASE + a_(i+n) _BASE^(n-1): O(n).
+    """
+    a = [_residue(x) for x in terms]
+    if None in a:
         return None
-    n = len(v)
-    return [sum(h[i + j] * v[j] for j in range(n)) % _PRIME for i in range(n)]
+    n, top = len(v), v[-1]
+    hv = [sum(map(mul, a, v)) % _PRIME]
+    for i in range(n - 1):
+        hv.append(((hv[i] - a[i]) * _BASE_INVERSE + a[i + n] * top) % _PRIME)
+    return hv
 
 
 def _certify(terms, sigma, n):
@@ -295,10 +318,8 @@ def _certify(terms, sigma, n):
     # times num_k[j] / den_k to entry k+j.
     udu = [0] * n
     for k, row in enumerate(rows):
-        t = sum(c * v[k + j] for j, c in enumerate(row))
-        t = t * pow(row[0] * dens[k], -1, _PRIME) % _PRIME
-        for j, c in enumerate(row):
-            udu[k + j] += c * t
+        t = sum(map(mul, row, v[k:])) * pow(row[0] * dens[k], -1, _PRIME) % _PRIME
+        udu[k:] = [u + c * t for u, c in zip(udu[k:], row)]
     for i in range(n):
         if hv[i] != udu[i] % _PRIME:
             raise CrossCheckFailed(

@@ -7,9 +7,10 @@ series kernels and the bivariate expander on Fraction coefficients, the
 moment pass on Fractions through vanishing minors, the characteristic
 rows one window at a time,
 the named Riordan arrays as group inverses of their rational partners
-or rebuilt from their production matrix, and the production matrix by a
-forward substitution on Fraction rows.  The library must agree with
-these on every tested input.
+or rebuilt from their production matrix, the production matrix by a
+forward substitution on Fraction rows, and the certificate's Hankel
+product H v as a plain sum.  The library must agree with these on every
+tested input.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from riordankit import berlekamp, production, riordan, sequences, series
+from riordankit import berlekamp, hankel, production, riordan, sequences, series
 from riordankit.errors import (
     InsufficientOrder,
     NonUnitConstant,
@@ -319,3 +320,13 @@ def fraction_production_matrix(a_rows):
         p.append(row)
         nonzero.append([(j, v) for j, v in enumerate(row) if v])
     return p
+
+
+def quadratic_hankel_times(terms, v):
+    """H v mod 2^61 - 1 by the O(n^2) sum over the Hankel matrix of the
+    terms, or None when a term's denominator vanishes mod that prime."""
+    h = [hankel._residue(x) for x in terms]
+    if None in h:
+        return None
+    n = len(v)
+    return [sum(h[i + j] * v[j] for j in range(n)) % hankel._PRIME for i in range(n)]

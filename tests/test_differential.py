@@ -23,7 +23,12 @@ from riordankit.errors import (
     SingularSystem,
 )
 
-from helpers import det_cofactor, fraction_chebyshev, fraction_production_matrix
+from helpers import (
+    det_cofactor,
+    fraction_chebyshev,
+    fraction_production_matrix,
+    quadratic_hankel_times,
+)
 
 METHODS = ("ldl", "bareiss", "both", "spot")
 P61 = 2**61 - 1
@@ -306,6 +311,26 @@ def test_hankel_ldl_matches_dense_elimination():
     assert seen == {"value", InsufficientTerms, SingularLeadingMinor}
 
 
+def test_ldl_unit_factor_is_int_where_integral():
+    rng = random.Random(1414)
+    inputs = [
+        (sequences.family_terms(name, 2 * n - 1, r), n)
+        for name in ("catalan", "central", "sum")
+        for r in (1, 3, 8)
+        for n in (1, 6, 24)
+    ]
+    inputs += list(sequences_under_test(rng)) + list(fraction_sequences(rng))
+    kinds = set()
+    for a, count in inputs:
+        got = outcome(lambda: hankel.ldl(hankel.hankel_matrix(a, count)))
+        if got[0] != "value":
+            continue
+        for v in (v for row in got[1].l for v in row):
+            assert type(v) is (int if v.denominator == 1 else Fraction), (a, count)
+            kinds.add(type(v))
+    assert kinds == {int, Fraction}
+
+
 def test_ldl_of_a_symmetric_non_hankel_matrix():
     rng = random.Random(2718)
     singular = 0
@@ -412,6 +437,30 @@ def test_production_matrix_matches_the_fraction_oracle():
             for v in (v for row in got[1] for v in row):
                 assert type(v) is (int if v.denominator == 1 else Fraction), rows
     assert seen == {"value", ValueError, SingularDiagonal}
+
+
+def test_certificate_product_matches_the_quadratic_sum():
+    rng = random.Random(6161)
+    seen = set()
+    for _ in range(200):
+        n = rng.randint(1, 40)
+        size = 2 * n - 1
+        kind = rng.randrange(4)
+        if kind == 0:
+            terms = [rng.randint(-(10**30), 10**30) for _ in range(size)]
+        elif kind == 1:
+            terms = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(size)]
+        elif kind == 2:
+            terms = [rng.choice((0, 1, -1, P61, -P61, Fraction(1, 3))) for _ in range(size)]
+        else:
+            # A denominator that vanishes mod the prime: no product.
+            terms = [rng.randint(-3, 3) for _ in range(size)]
+            terms[rng.randrange(size)] = Fraction(1, P61)
+        v = [pow(hankel._BASE, j, P61) for j in range(n)]
+        expected = quadratic_hankel_times(terms, v)
+        assert hankel._hankel_times(terms, v) == expected, terms
+        seen.add(expected is None)
+    assert seen == {True, False}
 
 
 def test_determinant_and_solve_match_cofactor_routes():

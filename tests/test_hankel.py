@@ -55,6 +55,38 @@ def test_ldl_rejects_asymmetric_input():
         hankel.ldl([[1, 2], [3, 4]])
 
 
+def test_ldl_structure_test_keeps_its_routes_and_errors():
+    with pytest.raises(ValueError, match="not symmetric"):
+        hankel.ldl([[1, 2, 3], [2, 3, 4], [3, 5, 5]])
+    # Symmetric but not Hankel: dense elimination.
+    m = [[2, 1, 0], [1, 2, 1], [0, 1, 2]]
+    dec = hankel.ldl(m)
+    assert dec == hankel._ldl_dense(m)
+    assert dec.l == [[1], [Fraction(1, 2), 1], [0, Fraction(2, 3), 1]]
+    assert [type(v) for v in dec.l[2]] == [int, Fraction, int]
+    assert dec.d == [2, Fraction(3, 2), Fraction(4, 3)]
+    # Tuple rows of a Hankel matrix are read like list rows.
+    terms = sequences.family_terms("catalan", 9, 2)
+    h = hankel.hankel_matrix(terms, 5)
+    assert hankel.ldl([tuple(row) for row in h]) == hankel.ldl(h)
+    with pytest.raises(SingularLeadingMinor) as err:
+        hankel.ldl([tuple(row) for row in hankel.hankel_matrix(FIB, 3)])
+    assert err.value.index == 2
+
+
+@pytest.mark.parametrize("r", [1, 3, 8])
+def test_moment_pass_steps_are_the_j_fraction(r):
+    # Step j of the pass is ((-alpha_j, 1), beta_j, 1, 1): no pivot
+    # products ride along.  Catalan: alpha = (r, r+1, r+1, ...),
+    # beta = (1, r, r, ...); central: alpha = r+1, beta = (1, 2r, r, r, ...).
+    n = 24
+    catalan = [r] + [r + 1] * (n - 1), [1] + [r] * (n - 1)
+    central = [r + 1] * n, [1, 2 * r] + [r] * (n - 2)
+    for name, (alpha, beta) in (("catalan", catalan), ("central", central)):
+        _, steps = hankel._chebyshev(sequences.family_terms(name, 2 * n, r))
+        assert steps == [([-x, 1], y, 1, 1) for x, y in zip(alpha, beta)], name
+
+
 def test_ldl_diagonal_tables():
     central2 = hankel.ldl(
         hankel.hankel_matrix(sequences.family_terms("central", 7, 2), 4)
