@@ -30,7 +30,16 @@ from .errors import (
 )
 
 GENERATE_FAMILIES = ("triangle",) + sequences.FAMILY_NAMES
-ARRAY_NAMES = ("central", "catalan", "ap", "binomial", "coefficient")
+# The named arrays, as (r, order) -> array.  The constructor is looked up per
+# call, so one rebound on its module (by a tracer, say) is the one that runs.
+NAMED_ARRAYS = {
+    "central": lambda r, order: riordan.l_central(r, order),
+    "catalan": lambda r, order: riordan.l_catalan(r, order),
+    "ap": lambda r, order: production_mod.a_p(r, order),
+    "binomial": lambda r, order: riordan.binomial(order),
+    "coefficient": lambda r, order: riordan.coefficient_array(r, order),
+}
+ARRAY_NAMES = tuple(NAMED_ARRAYS)
 
 
 def canonical_json(data) -> str:
@@ -93,20 +102,6 @@ def _positive_int(text: str) -> int:
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
-
-
-def _named_array(name: str, r: int, order: int):
-    if name == "binomial":
-        return riordan.binomial(order)
-    if name == "central":
-        return riordan.l_central(r, order)
-    if name == "catalan":
-        return riordan.l_catalan(r, order)
-    if name == "ap":
-        return production_mod.a_p(r, order)
-    if name == "coefficient":
-        return riordan.coefficient_array(r, order)
-    raise UnsupportedParameter(f"unknown array {name!r}")
 
 
 # ------------------------------------------------------------- subcommands
@@ -188,7 +183,7 @@ def cmd_riordan(args) -> int:
     if args.power != 1 and args.array != "binomial":
         raise UnsupportedParameter("--power applies only to the binomial array")
     order = args.size
-    arr = _named_array(args.array, args.r, order)
+    arr = NAMED_ARRAYS[args.array](args.r, order)
     if args.power != 1:
         arr = riordan.binomial_power(args.power, order)
     if args.inverse:
@@ -212,7 +207,7 @@ def cmd_production(args) -> int:
     params = {"r": str(args.r), "size": str(args.size)}
     header = ("n", "k", "value")
     if args.action == "matrix":
-        source = _named_array(args.array, args.r, args.size + 1)
+        source = NAMED_ARRAYS[args.array](args.r, args.size + 1)
         rows = production_mod.production_matrix(source.to_matrix(args.size + 1))
         params["array"] = args.array
         header = ("i", "j", "value")
@@ -304,7 +299,7 @@ def build_parser() -> argparse.ArgumentParser:
     prod = sub.add_parser("production",
                           help="production matrices and the arrays they generate")
     prod.add_argument("action", choices=("matrix", "array", "bridge"))
-    prod.add_argument("--array", choices=("central", "catalan", "ap", "binomial"),
+    prod.add_argument("--array", choices=[n for n in ARRAY_NAMES if n != "coefficient"],
                       default="ap", help="source array for 'matrix'")
     prod.add_argument("--r", type=_positive_int, default=1)
     prod.add_argument("--size", type=_positive_int, default=4)

@@ -10,7 +10,9 @@ denominator per row, in the layout of FLINT's ``fmpq_poly``.  The default
 ``spot`` transform certifies it in O(n^2) mod a 61-bit prime, and falls
 back to the pivots of one fraction-free Bareiss elimination, the
 independent exact route, when the prime divides a pivot or a denominator.
-The per-order ``bareiss_det`` stays public as an oracle.
+A symmetric matrix that is not Hankel is factored off the same Bareiss
+pass (``linalg._bareiss_step``).  The per-order ``bareiss_det`` stays
+public as an oracle.
 """
 
 from __future__ import annotations
@@ -21,7 +23,9 @@ from math import comb, gcd
 from operator import mul
 
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
-from .linalg import _eliminate, as_int, bareiss_det
+from .linalg import (
+    _bareiss_step, _eliminate, as_int, bareiss_det, mat_mul, pad_square, transpose
+)
 from .series import _integer_row
 
 __all__ = [
@@ -55,17 +59,10 @@ class LDLDecomp:
     d: list
 
     def reconstruct(self):
-        """Multiply the factors back into a full square matrix."""
-        n = len(self.d)
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                top = min(i, j)
-                s = Fraction(0)
-                for k in range(top + 1):
-                    s += self.l[i][k] * self.d[k] * self.l[j][k]
-                out[i][j] = s
-        return out
+        """Multiply the factors back into a full square matrix: (L D) L^T."""
+        l = pad_square(self.l)
+        ld = [[v * dk for v, dk in zip(row, self.d)] for row in l]
+        return mat_mul(ld, transpose(l))
 
 
 def _chebyshev(a, *, stop_at_zero=False):
@@ -157,9 +154,12 @@ def ldl(h) -> LDLDecomp:
     SingularLeadingMinor(k) rather than silently producing zeros.  A Hankel
     matrix, told apart by comparing each row with a slice of its first row
     and last column, is factored by the moment pass over those terms, any
-    other symmetric matrix by dense elimination.
+    other symmetric matrix by one Bareiss pass (``_ldl_dense``).  A matrix
+    that is not square raises ValueError.
     """
     n = len(h)
+    if any(len(row) != n for row in h):
+        raise ValueError("matrix is not square")
     terms = [*h[0], *(row[-1] for row in h[1:])] if h else []
     if not all(list(row) == terms[i : i + n] for i, row in enumerate(h)):
         for i in range(n):
@@ -185,24 +185,20 @@ def ldl(h) -> LDLDecomp:
 
 
 def _ldl_dense(h) -> LDLDecomp:
-    """LDL^T of a symmetric matrix by Gaussian elimination, O(n^3)."""
-    n = len(h)
-    l = []
-    d = []
-    for i in range(n):
-        row = []
-        for j in range(i):
-            s = Fraction(h[i][j])
-            for k in range(j):
-                s -= row[k] * l[j][k] * d[k]
-            row.append(s / d[j])
-        s = Fraction(h[i][i])
-        for k in range(i):
-            s -= row[k] * row[k] * d[k]
-        if s == 0:
-            raise SingularLeadingMinor(i)
-        l.append(row)
-        d.append(s)
+    """LDL^T of a square symmetric matrix off one Bareiss pass, O(n^3).
+    Pivot k is the leading minor H_(k+1), zero at a vanishing one, and the
+    pass leaves det h[{0..k-1, i}, {0..k}] below it in row i, so
+    L[i][k] = m[i][k] / m[k][k] and D[k] = H_(k+1) / H_k."""
+    m = [list(row) for row in h]
+    prev = 1
+    for k in range(len(m)):
+        if m[k][k] == 0:
+            raise SingularLeadingMinor(k)
+        _bareiss_step(m, k, prev)
+        prev = m[k][k]
+    pivots = [row[k] for k, row in enumerate(m)]
+    d = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
+    l = [[Fraction(v, p) for v, p in zip(row[:i], pivots)] for i, row in enumerate(m)]
     l = [[v.numerator if v.denominator == 1 else v for v in row] + [1] for row in l]
     return LDLDecomp(l=l, d=d)
 

@@ -4,6 +4,8 @@ linear-recurrence modules.
 Matrices are plain lists of row lists with int or Fraction entries.
 Triangular arrays are often kept ragged (row n holds n+1 entries);
 ``pad_square`` turns those into full square matrices when needed.
+``_bareiss_step`` is the row update of every elimination, the dense LDL^T
+in ``hankel`` included, and ``mat_mul`` the one matrix product.
 """
 
 from __future__ import annotations
@@ -18,12 +20,12 @@ def identity(n: int):
 
 
 def pad_square(rows, dim: int | None = None):
-    """Zero-pad ragged rows on the right into a dim x dim matrix."""
+    """Zero-pad ragged rows on the right, and missing rows below, to dim x dim."""
     if dim is None:
         dim = len(rows)
     out = []
     for i in range(dim):
-        row = list(rows[i][:dim])
+        row = list(rows[i][:dim]) if i < len(rows) else []
         row += [0] * (dim - len(row))
         out.append(row)
     return out
@@ -34,7 +36,7 @@ def transpose(m):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0])
+    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
     out = [[0] * cols for _ in range(rows)]
     for i in range(rows):
         ai = a[i]
@@ -74,14 +76,27 @@ def _exact_div(a, b):
     return a / b
 
 
+def _bareiss_step(m, k, prev):
+    """Step k of the fraction-free (Bareiss) elimination of m, in place:
+    each row below the pivot m[k][k] takes its entries after column k to
+    (pivot * row[j] - row[k] * m[k][j]) / prev, exactly.  With no row swap
+    before it, that is det m[{0..k, i}, {0..k, j}] (Sylvester's identity;
+    Bareiss, *Math. Comp.* 22, 1968); column k is left as it is, so below
+    the pivot it holds det m[{0..k-1, i}, {0..k}]."""
+    top = m[k]
+    pivot = top[k]
+    for row in m[k + 1 :]:
+        lead = row[k]
+        for j in range(k + 1, len(row)):
+            row[j] = _exact_div(pivot * row[j] - lead * top[j], prev)
+
+
 def _eliminate(m, steps):
     """Fraction-free (Bareiss) elimination of m in place, over its first
     ``steps`` columns; m may be rectangular, and every later column is
-    carried along.  Returns (sign, completed steps).
-
-    With no row swap, pivot k is the leading (k+1)-minor (Sylvester's
-    identity).  A zero pivot swaps in a lower row, flipping the sign, or
-    ends the pass when there is none.
+    carried along.  Entries below the pivots are not zeroed.  A zero pivot
+    swaps in a lower row, flipping the sign, or ends the pass when there
+    is none.  Returns (sign, completed steps).
     """
     sign = 1
     prev = 1
@@ -94,15 +109,8 @@ def _eliminate(m, steps):
                     break
             else:
                 return sign, k
-        top = m[k]
-        pivot = top[k]
-        for i in range(k + 1, len(m)):
-            row = m[i]
-            lead = row[k]
-            for j in range(k + 1, len(row)):
-                row[j] = _exact_div(pivot * row[j] - lead * top[j], prev)
-            row[k] = 0
-        prev = pivot
+        _bareiss_step(m, k, prev)
+        prev = m[k][k]
     return sign, steps
 
 

@@ -8,7 +8,8 @@ rather than by forming the inverse.  The substitution runs column by
 column on int numerators over one denominator per column, and builds a
 Fraction only for a nonzero entry of P that is not an integer: O(N) int
 steps per nonzero entry, so O(N^2) for the tridiagonal P of a Hankel
-factor.
+factor.  Rebuilding the array from P runs the relation forwards, one
+``linalg.mat_mul`` of a row by P per row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from math import gcd
 
 from . import riordan, series
 from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
-from .linalg import pad_square
+from .linalg import mat_mul, pad_square
 from .riordan import RiordanArray
 from .series import _integer_row
 
@@ -89,22 +90,17 @@ def _columns(full, n):
 
 def matrix_from_production(p, dim: int):
     """Rebuild the array from its production matrix: row_0 = e_0,
-    row_(n+1) = row_n * P; returns a dim x dim block."""
+    row_(n+1) = row_n * P; returns a dim x dim block.
+
+    P is read as its leading dim x dim block, zero-padded where its rows
+    are short or too few.  An int P gives int rows.
+    """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    size = len(p)
-    rows = [[Fraction(0)] * dim]
-    rows[0][0] = Fraction(1)
+    step = pad_square(p, dim)
+    rows = [[1] + [0] * (dim - 1)]
     for _ in range(dim - 1):
-        prev = rows[-1]
-        nxt = [Fraction(0)] * dim
-        for k in range(min(len(prev), size)):
-            if prev[k]:
-                pk = p[k]
-                for j in range(min(dim, len(pk))):
-                    if pk[j]:
-                        nxt[j] += prev[k] * pk[j]
-        rows.append(nxt)
+        rows += mat_mul(rows[-1:], step)
     return rows
 
 

@@ -8,9 +8,9 @@ moment pass on Fractions through vanishing minors, the characteristic
 rows one window at a time,
 the named Riordan arrays as group inverses of their rational partners
 or rebuilt from their production matrix, the production matrix by a
-forward substitution on Fraction rows, and the certificate's Hankel
-product H v as a plain sum.  The library must agree with these on every
-tested input.
+forward substitution on Fraction rows, the dense LDL^T by Gaussian
+elimination on Fractions, and the certificate's Hankel product H v as a
+plain sum.  The library must agree with these on every tested input.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from riordankit.errors import (
     NonzeroInnerConstant,
     NotRevertible,
     SingularDiagonal,
+    SingularLeadingMinor,
     ZeroConstantDivisor,
 )
 from riordankit.linalg import pad_square
@@ -320,6 +321,31 @@ def fraction_production_matrix(a_rows):
         p.append(row)
         nonzero.append([(j, v) for j, v in enumerate(row) if v])
     return p
+
+
+def fraction_ldl(h):
+    """``hankel._ldl_dense`` by Gaussian elimination on Fractions, O(n^3):
+    row i of L and D[i] from h[i] minus the rows above, SingularLeadingMinor(i)
+    at the first zero D[i]; L holds ints where the entry is an integer."""
+    n = len(h)
+    l = []
+    d = []
+    for i in range(n):
+        row = []
+        for j in range(i):
+            s = Fraction(h[i][j])
+            for k in range(j):
+                s -= row[k] * l[j][k] * d[k]
+            row.append(s / d[j])
+        s = Fraction(h[i][i])
+        for k in range(i):
+            s -= row[k] * row[k] * d[k]
+        if s == 0:
+            raise SingularLeadingMinor(i)
+        l.append(row)
+        d.append(s)
+    l = [[v.numerator if v.denominator == 1 else v for v in row] + [1] for row in l]
+    return hankel.LDLDecomp(l=l, d=d)
 
 
 def quadratic_hankel_times(terms, v):

@@ -26,6 +26,7 @@ from riordankit.errors import (
 from helpers import (
     det_cofactor,
     fraction_chebyshev,
+    fraction_ldl,
     fraction_production_matrix,
     quadratic_hankel_times,
 )
@@ -352,6 +353,32 @@ def test_ldl_of_a_symmetric_non_hankel_matrix():
         assert dec.reconstruct() == m
         assert [(len(row), row[-1]) for row in dec.l] == [(i + 1, 1) for i in range(n)]
     assert singular > 0
+
+
+def test_dense_ldl_matches_gaussian_elimination():
+    # Values, entry types (through repr), and the index and message of
+    # SingularLeadingMinor, on symmetric int, Fraction and mixed matrices;
+    # zero-rich pools make singular leading blocks common.
+    rng = random.Random(1968)
+    pools = (
+        (0, 1, -1, 2, 3, -4, 7),
+        (0, 0, 0, 1, -1, 2),
+        (Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(0), Fraction(7, 4)),
+        (0, 1, -2, 3, Fraction(1, 2), Fraction(-5, 3)),
+    )
+    seen = set()
+    for _ in range(600):
+        n, pool = rng.randint(0, 7), rng.choice(pools)
+        m = [[0] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                m[i][j] = m[j][i] = rng.choice(pool)
+        expected = outcome(fraction_ldl, m)
+        assert repr(outcome(hankel._ldl_dense, m)) == repr(expected), m
+        seen.add(expected[0])
+        if expected[0] == "value":
+            seen |= {type(v) for row in expected[1].l for v in row}
+    assert seen == {"value", SingularLeadingMinor, int, Fraction}
 
 
 def inverse_times_shift(rows):

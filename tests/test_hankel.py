@@ -48,11 +48,18 @@ def test_ldl_reconstructs_exactly():
         for i, row in enumerate(dec.l):
             assert row[i] == 1
             assert len(row) == i + 1
+    assert hankel.ldl([]).reconstruct() == []
 
 
 def test_ldl_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         hankel.ldl([[1, 2], [3, 4]])
+
+
+@pytest.mark.parametrize("h", [[[1, 2, 3], [2, 3, 4]], [[1, 2], [2, 3], [3, 4]]])
+def test_ldl_rejects_a_matrix_that_is_not_square(h):
+    with pytest.raises(ValueError, match="matrix is not square"):
+        hankel.ldl(h)
 
 
 def test_ldl_structure_test_keeps_its_routes_and_errors():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from fractions import Fraction
 from math import comb
 
 import pytest
@@ -160,6 +161,37 @@ def test_pascal_row_sums_stay_powers_of_two():
     )
     assert [sum(row) for row in rows] == [2**n for n in range(6)]
     assert rows[5][2] == comb(5, 2)
+
+
+@pytest.mark.parametrize(
+    "p, dim, expected",
+    [
+        # P smaller than dim, ragged, with a Fraction: missing entries are 0.
+        (
+            [[0, 2], [1, 1, Fraction(1, 2)]],
+            4,
+            [["1", "0", "0", "0"], ["0", "2", "0", "0"],
+             ["2", "2", "1", "0"], ["2", "6", "1", "0"]],
+        ),
+        # P larger than dim: only its leading dim x dim block is read.
+        (
+            production.p_catalan(2, 6),
+            3,
+            [["1", "0", "0"], ["0", "2", "0"], ["0", "2", "4"]],
+        ),
+        ([[5, 7], [1, 1]], 1, [["1"]]),
+        ([], 1, [["1"]]),
+    ],
+)
+def test_rebuild_reads_the_leading_block_of_p(p, dim, expected):
+    rows = production.matrix_from_production(p, dim)
+    assert rows == [[Fraction(v) for v in row] for row in expected]
+    assert [[str(v) for v in row] for row in rows] == expected
+
+
+def test_rebuild_needs_a_positive_dimension():
+    with pytest.raises(ValueError, match="dimension must be at least 1"):
+        production.matrix_from_production([[1]], 0)
 
 
 # sha256 of ``str`` of every entry of ``production_matrix`` on
