@@ -17,7 +17,7 @@ import json
 import sys
 
 from . import production as production_mod
-from . import riordan, sequences, verify
+from . import riordan, sequences
 from . import berlekamp, hankel
 from .errors import (
     IndexOutOfTriangle,
@@ -40,6 +40,9 @@ NAMED_ARRAYS = {
     "coefficient": lambda r, order: riordan.coefficient_array(r, order),
 }
 ARRAY_NAMES = tuple(NAMED_ARRAYS)
+# ``verify.SCOPES``, spelled out so that only ``verify`` itself imports the
+# check registry.
+VERIFY_SCOPES = ("series", "sequences", "riordan", "hankel", "production", "berlekamp")
 
 
 def canonical_json(data) -> str:
@@ -223,6 +226,8 @@ def cmd_production(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
     scopes = args.scope or ["all"]
     report = verify.run_checks(scopes, args.r_max, args.n_max, parallel=args.parallel)
     _emit_json(verify.report_data(report))
@@ -308,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = sub.add_parser("verify", help="run the identity-check suite")
     ver.add_argument("--scope", action="append",
-                     choices=("all",) + verify.SCOPES, default=None)
+                     choices=("all",) + VERIFY_SCOPES, default=None)
     ver.add_argument("--r-max", type=_positive_int, default=4)
     ver.add_argument("--n-max", type=_positive_int, default=8)
     ver.add_argument("--parallel", action="store_true")

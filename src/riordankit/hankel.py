@@ -17,7 +17,6 @@ public as an oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd
 from operator import mul
@@ -47,7 +46,6 @@ def hankel_matrix(a, m: int):
     return [[a[i + j] for j in range(m)] for i in range(m)]
 
 
-@dataclass
 class LDLDecomp:
     """Unit lower-triangular factor (ragged rows) and diagonal of H = L D L^T.
 
@@ -55,8 +53,19 @@ class LDLDecomp:
     otherwise; D holds Fractions.
     """
 
-    l: list
-    d: list
+    __slots__ = ("l", "d")
+
+    def __init__(self, l, d):
+        self.l = l
+        self.d = d
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.l, self.d) == (other.l, other.d)
+
+    def __repr__(self):
+        return f"LDLDecomp(l={self.l!r}, d={self.d!r})"
 
     def reconstruct(self):
         """Multiply the factors back into a full square matrix: (L D) L^T."""

@@ -6,11 +6,21 @@ Triangular arrays are often kept ragged (row n holds n+1 entries);
 ``pad_square`` turns those into full square matrices when needed.
 ``_bareiss_step`` is the row update of every elimination, the dense LDL^T
 in ``hankel`` included, and ``mat_mul`` the one matrix product.
+
+``mat_mul`` multiplies int numerators, in the (numerators, denominator)
+layout of ``series`` and FLINT's ``fmpq_mat``: each row of A and each
+column of B over one denominator, one Fraction at most per output entry.
+Its entries are ints where the value is an integer (zeros included) and
+Fractions otherwise, whatever the entry types of A and B, as for
+``hankel.ldl``'s unit factor and ``production.production_matrix``.  A
+row of A whose denominators are far apart is the one exception to the
+layout: its entries keep their own (``_mul_spread``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import IntegralityViolation, SingularDiagonal, SingularSystem
 
@@ -36,20 +46,103 @@ def transpose(m):
 
 
 def mat_mul(a, b):
-    rows, inner, cols = len(a), len(b), len(b[0]) if b else 0
-    out = [[0] * cols for _ in range(rows)]
-    for i in range(rows):
-        ai = a[i]
-        for k in range(inner):
-            aik = ai[k]
-            if not aik:
-                continue
-            bk = b[k]
-            oi = out[i]
-            for j in range(cols):
-                if bk[j]:
-                    oi[j] += aik * bk[j]
+    """The exact product A B of an m x n and an n x p matrix of int or
+    Fraction entries.
+
+    Each column of B is put over one denominator, and so is each row of
+    A; the numerators are multiplied as ints, skipping zero entries, and
+    each output entry is one int numerator over the product of its row's
+    and its column's denominators.  An entry is an int where its value is
+    an integer, zeros included, and a Fraction otherwise.
+    """
+    return _mul_cleared(a, _clear_columns(b))
+
+
+# A row of A is not put over one denominator when that denominator would
+# take more than this many times the bits of the row's largest one, plus a
+# word: near coprime denominators, as in a row of a Hankel unit factor,
+# would swell every numerator (see ``_mul_spread``).
+_SPREAD = 8
+
+
+def _clear_columns(b):
+    """B for ``_mul_cleared``: each column as int numerators over its least
+    common denominator, kept as the nonzero (column, numerator) pairs of
+    each row, the column denominators, and whether all of them are 1."""
+    cols = [_over_one_den(col) for col in zip(*b)]
+    if any(len(row) != len(cols) for row in b):
+        raise ValueError("the right factor must be a rectangular matrix")
+    rows = [
+        [(j, y) for j, y in enumerate(nums) if y]
+        for nums in zip(*(num for num, _ in cols))
+    ]
+    dens = [den for _, den in cols]
+    return rows, dens, all(den == 1 for den in dens)
+
+
+def _over_one_den(values, spread=None):
+    """int or Fraction values as (int numerators, their least common
+    denominator); with a ``spread``, None where that denominator takes
+    more than ``spread`` times the bits of the largest one, plus a word."""
+    dens = [v.denominator for v in values]
+    den = lcm(*dens)
+    if den == 1:
+        return [v.numerator for v in values], 1
+    if spread and den.bit_length() > spread * max(dens).bit_length() + 64:
+        return None
+    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
+
+
+def _mul_cleared(a, cleared):
+    """A times a B cleared once by ``_clear_columns``, as ``mat_mul``."""
+    b_rows, dens, integral = cleared
+    out = []
+    for row in a:
+        row = row[: len(b_rows)]
+        over_one = _over_one_den(row, _SPREAD)
+        if over_one is None:
+            out.append(_mul_spread(row, b_rows, dens))
+            continue
+        num, den = over_one
+        acc = [0] * len(dens)
+        for x, pairs in zip(num, b_rows):
+            if x:
+                for j, y in pairs:
+                    acc[j] += x * y
+        if den == 1 and integral:
+            out.append(acc)
+        else:
+            out.append([_ratio(t, den * d) for t, d in zip(acc, dens)])
     return out
+
+
+def _mul_spread(row, b_rows, dens):
+    """A row with far apart denominators times a cleared B: each output
+    numerator is kept over the least common denominator of the row
+    entries that reach it, one small gcd per product, rather than over
+    the denominator of the whole row."""
+    acc = [0] * len(dens)
+    acc_dens = [1] * len(dens)
+    for x, pairs in zip(row, b_rows):
+        if x:
+            n, b = x.numerator, x.denominator
+            for j, y in pairs:
+                d = acc_dens[j]
+                if d % b:
+                    g = gcd(d, b)
+                    acc[j] = acc[j] * (b // g) + n * y * (d // g)
+                    acc_dens[j] = d * (b // g)
+                else:
+                    acc[j] += n * y * (d // b)
+    return [_ratio(t, e * d) for t, e, d in zip(acc, acc_dens, dens)]
+
+
+def _ratio(t, d):
+    """t / d for ints t and d > 0: an int where it divides, else one Fraction."""
+    if d == 1 or not t:
+        return t
+    q, rem = divmod(t, d)
+    return Fraction(t, d) if rem else q
 
 
 def mat_vec(a, v):
@@ -127,6 +220,31 @@ def bareiss_det(m):
     a = [list(row) for row in m]
     sign, done = _eliminate(a, n - 1)
     return sign * a[n - 1][n - 1] if done == n - 1 else 0
+
+
+def _leading_minors(m):
+    """The determinants of the leading 1 x 1 ... n x n blocks of square m.
+
+    One swap-free Bareiss pass reads them all off its pivots: with no swap
+    before step k, pivot k is the leading (k+1) x (k+1) minor.  After a
+    zero pivot the pass cannot go on without a swap, so every larger
+    minor is one ``bareiss_det`` of its block.  O(n^3) while the pivots
+    are nonzero, against O(n^4) for n calls of ``bareiss_det``.
+    """
+    a = [list(row) for row in m]
+    out = []
+    prev = 1
+    for k in range(len(a)):
+        pivot = a[k][k]
+        out.append(pivot)
+        if not pivot:
+            out += [
+                bareiss_det([row[:j] for row in m[:j]]) for j in range(k + 2, len(a) + 1)
+            ]
+            break
+        _bareiss_step(a, k, prev)
+        prev = pivot
+    return out
 
 
 def solve(a, b):

@@ -8,8 +8,9 @@ rather than by forming the inverse.  The substitution runs column by
 column on int numerators over one denominator per column, and builds a
 Fraction only for a nonzero entry of P that is not an integer: O(N) int
 steps per nonzero entry, so O(N^2) for the tridiagonal P of a Hankel
-factor.  Rebuilding the array from P runs the relation forwards, one
-``linalg.mat_mul`` of a row by P per row.
+factor.  Rebuilding the array from P runs the relation forwards: P is
+cleared to int columns once, and each row is one ``linalg.mat_mul`` row
+product by it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from math import gcd
 
 from . import riordan, series
 from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
-from .linalg import mat_mul, pad_square
+from .linalg import _clear_columns, _mul_cleared, pad_square
 from .riordan import RiordanArray
 from .series import _integer_row
 
@@ -93,14 +94,15 @@ def matrix_from_production(p, dim: int):
     row_(n+1) = row_n * P; returns a dim x dim block.
 
     P is read as its leading dim x dim block, zero-padded where its rows
-    are short or too few.  An int P gives int rows.
+    are short or too few, and cleared to int columns once.  Entries are
+    ints where the value is an integer, as ``linalg.mat_mul`` gives them.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    step = pad_square(p, dim)
+    step = _clear_columns(pad_square(p, dim))
     rows = [[1] + [0] * (dim - 1)]
     for _ in range(dim - 1):
-        rows += mat_mul(rows[-1:], step)
+        rows += _mul_cleared(rows[-1:], step)
     return rows
 
 

@@ -16,7 +16,7 @@ y-polynomials use the same layout and kernels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -293,12 +293,10 @@ def rational(num, den, order: int) -> Series:
     return poly(num, order) / poly(den, order)
 
 
-@dataclass
-class BivariateTable:
+class BivariateTable(namedtuple("BivariateTable", "rows order_x")):
     """Coefficient triangle of a bivariate series: rows[n][k] = [x^n y^k]."""
 
-    rows: list
-    order_x: int
+    __slots__ = ()
 
 
 # The y-polynomials below are (numerators, denominator) pairs as ``_normal``

@@ -15,7 +15,7 @@ asserts its own identities is run under ``_guard``.
 from __future__ import annotations
 
 import random
-from dataclasses import asdict, dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import accumulate
 from math import comb
@@ -36,20 +36,8 @@ def check(scope):
     return deco
 
 
-@dataclass
-class CheckResult:
-    id: str
-    claim: str
-    params: dict
-    status: str
-    expected: str
-    actual: str
-
-
-@dataclass
-class VerifyReport:
-    checks: list
-    summary: dict
+CheckResult = namedtuple("CheckResult", "id claim params status expected actual")
+VerifyReport = namedtuple("VerifyReport", "checks summary")
 
 
 def fmt(value) -> str:
@@ -570,7 +558,7 @@ def check_ldl(r_max, n_max):
                 out,
                 f"ldl-bareiss-agreement-{name}-r{r}",
                 "partial products of the LDL^T diagonal equal the Bareiss minors",
-                [linalg.bareiss_det(hankel.hankel_matrix(terms, n + 1)) for n in range(m)],
+                linalg._leading_minors(h),
                 list(accumulate(dec.d, mul)),
                 family=name,
                 r=r,
@@ -1003,6 +991,6 @@ def run_checks(scopes, r_max: int, n_max: int, parallel: bool = False) -> Verify
 
 def report_data(report: VerifyReport) -> dict:
     return {
-        "checks": [asdict(res) for res in report.checks],
+        "checks": [res._asdict() for res in report.checks],
         "summary": {k: str(v) for k, v in report.summary.items()},
     }

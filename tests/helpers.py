@@ -9,8 +9,8 @@ rows one window at a time,
 the named Riordan arrays as group inverses of their rational partners
 or rebuilt from their production matrix, the production matrix by a
 forward substitution on Fraction rows, the dense LDL^T by Gaussian
-elimination on Fractions, and the certificate's Hankel product H v as a
-plain sum.  The library must agree with these on every tested input.
+elimination on Fractions, the certificate's Hankel product H v as a
+plain sum, and the matrix product as the Fraction triple loop.  The library must agree with these on every tested input.
 """
 
 from __future__ import annotations
@@ -356,3 +356,15 @@ def quadratic_hankel_times(terms, v):
         return None
     n = len(v)
     return [sum(h[i + j] * v[j] for j in range(n)) % hankel._PRIME for i in range(n)]
+
+
+def fraction_mat_mul(a, b):
+    """``linalg.mat_mul`` as the plain triple loop on Fractions, no zero
+    skipped: entry (i, j) is sum_k A[i][k] B[k][j] for B with len(b[0])
+    columns."""
+    cols = len(b[0]) if b else 0
+    return [
+        [sum((Fraction(row[k]) * b[k][j] for k in range(len(b))), Fraction(0))
+         for j in range(cols)]
+        for row in a
+    ]

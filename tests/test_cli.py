@@ -366,6 +366,39 @@ def test_module_entry_point():
     assert json.loads(proc.stdout)["values"] == ["1", "2", "6", "20"]
 
 
+def loaded_modules(statement):
+    """The modules a fresh ``python -S`` holds after the statement; -S keeps
+    site ``.pth`` imports from loading modules the package does not."""
+    src = os.path.dirname(os.path.dirname(riordankit.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", f"{statement}; import sys; print(*sys.modules)"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        check=True,
+    )
+    return set(proc.stdout.split())
+
+
+def test_only_verify_loads_the_check_registry_and_dataclasses():
+    cli_modules = loaded_modules("import riordankit.cli")
+    assert "riordankit.cli" in cli_modules
+    assert "riordankit.verify" not in cli_modules
+    assert "dataclasses" not in cli_modules
+    assert "dataclasses" not in loaded_modules("import riordankit")
+    assert "riordankit.verify" in loaded_modules(
+        "from riordankit.cli import main; main(['verify', '--scope', 'series', "
+        "'--r-max', '1', '--n-max', '1'])"
+    )
+
+
+def test_verify_scope_choices_are_the_registry_scopes():
+    from riordankit import cli, verify
+
+    assert cli.VERIFY_SCOPES == verify.SCOPES
+
+
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "hankel", "--help")[0] == 0

@@ -2,7 +2,9 @@
 Fraction one, the routes built on it and the single-pass elimination
 routes against per-window solves, cofactor determinants and dense
 elimination, and the forward-substitution production matrix against the
-inverse-times-shift product and the Fraction forward substitution, on
+inverse-times-shift product and the Fraction forward substitution, the
+integer matrix product against the Fraction triple loop, and the
+leading minors of one Bareiss pass against one determinant per block, on
 random, singular and too-short inputs.
 Values must be equal; errors must agree in type, message, order/index and
 partial result."""
@@ -27,6 +29,7 @@ from helpers import (
     det_cofactor,
     fraction_chebyshev,
     fraction_ldl,
+    fraction_mat_mul,
     fraction_production_matrix,
     quadratic_hankel_times,
 )
@@ -502,3 +505,78 @@ def test_determinant_and_solve_match_cofactor_routes():
         assert linalg.bareiss_det(m) == det, m
         assert outcome(linalg.solve, m, b) == outcome(cramer, m, b), (m, b)
     assert singular > 0
+
+
+def matrix_pairs(rng):
+    """(A, B) with int, Fraction or mixed entries, shapes from 0 x 0 up,
+    rectangular ones, 0-row A, 0-column B, all-zero rows, and rows whose
+    entries have near coprime 40-bit denominators, whose common one
+    would swell past ``linalg._SPREAD`` times their bits."""
+    pools = (
+        (0, 0, 1, -1, 2, 3, -7),
+        (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(7, 4)),
+        (0, 1, -2, Fraction(1, 2), Fraction(-5, 3), Fraction(6, 3)),
+    )
+    for _ in range(400):
+        m, n, p = (rng.choice((0, 1, rng.randint(2, 9))) for _ in range(3))
+        pool = rng.choice(pools)
+        a = [[rng.choice(pool) for _ in range(n)] for _ in range(m)]
+        b = [[rng.choice(pool) for _ in range(p)] for _ in range(n)]
+        for mat in (a, b):
+            if mat and rng.randrange(3) == 0:
+                mat[rng.randrange(len(mat))] = [0] * len(mat[0])
+        yield a, b
+    for _ in range(40):
+        # Ints, zeros, and single 40-bit denominators, some of which divide
+        # the product of two others, so denominators repeat and nest.
+        n, p = rng.randint(24, 32), rng.randint(1, 6)
+        dens = [rng.randrange(2**39, 2**40) | 1 for _ in range(n)]
+        a = []
+        for _ in range(rng.randint(1, 4)):
+            row = []
+            for k in range(n):
+                den = rng.choice((1, dens[k], dens[k], dens[k] * dens[k - 1]))
+                row.append(Fraction(rng.randint(-(10**12), 10**12), den))
+            a.append([v.numerator if v.denominator == 1 else v for v in row])
+        b = [[rng.choice(rng.choice(pools)) for _ in range(p)] for _ in range(n)]
+        yield a, b
+
+
+def test_mat_mul_matches_the_fraction_triple_loop():
+    rng = random.Random(1968)
+    shapes, spread = set(), 0
+    for a, b in matrix_pairs(rng):
+        got = linalg.mat_mul(a, b)
+        assert got == fraction_mat_mul(a, b), (a, b)
+        # Integers come back as ints, other values as Fractions.
+        for v in (v for row in got for v in row):
+            assert type(v) is (int if v.denominator == 1 else Fraction), (a, b)
+        shapes.add((len(a) > 0, len(b) > 0, bool(b) and len(b[0]) > 0))
+        spread += sum(linalg._over_one_den(row, linalg._SPREAD) is None for row in a)
+    assert len(shapes) == 6 and spread > 0
+
+
+def test_matrix_product_of_a_ragged_right_factor_is_an_error():
+    with pytest.raises(ValueError, match="rectangular"):
+        linalg.mat_mul([[1, 2]], [[1, 2], [3]])
+
+
+def test_leading_minors_match_one_determinant_per_block():
+    rng = random.Random(22)
+    zero_pivots = recovered = 0
+    for _ in range(300):
+        kind = rng.randrange(4)
+        if kind == 0:
+            n = rng.randint(0, 7)
+            m = [[rng.choice((0, 0, 1, -1, 2, 3)) for _ in range(n)] for _ in range(n)]
+        else:
+            # Moments of a few atoms, whose minors vanish past the atom
+            # count; sparse terms, whose minors vanish and recover; Fractions.
+            n = rng.randint(1, 9)
+            m = hankel.hankel_matrix(moment_terms(rng, (1, 2, 3)[kind - 1], 2 * n - 1), n)
+        expected = [linalg.bareiss_det([row[:k] for row in m[:k]]) for k in range(1, n + 1)]
+        assert linalg._leading_minors(m) == expected, m
+        if 0 in expected[:-1]:
+            zero_pivots += 1
+            recovered += any(expected[expected.index(0) + 1 :])
+    assert zero_pivots > 0 and recovered > 0

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -49,6 +50,20 @@ def test_ldl_reconstructs_exactly():
             assert row[i] == 1
             assert len(row) == i + 1
     assert hankel.ldl([]).reconstruct() == []
+
+
+def test_ldl_decomp_is_a_plain_record():
+    dec = hankel.LDLDecomp(l=[[1], [2, 1]], d=[Fraction(1), Fraction(3, 2)])
+    assert (dec.l, dec.d) == ([[1], [2, 1]], [Fraction(1), Fraction(3, 2)])
+    assert repr(dec) == (
+        "LDLDecomp(l=[[1], [2, 1]], d=[Fraction(1, 1), Fraction(3, 2)])"
+    )
+    assert dec == hankel.LDLDecomp([[1], [2, 1]], [1, Fraction(3, 2)])
+    assert dec != hankel.LDLDecomp(l=[[1], [2, 1]], d=[1, 2])
+    assert dec != ([[1], [2, 1]], [Fraction(1), Fraction(3, 2)])
+    assert pickle.loads(pickle.dumps(dec)) == dec
+    with pytest.raises(TypeError):
+        hash(dec)
 
 
 def test_ldl_rejects_asymmetric_input():
