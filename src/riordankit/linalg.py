@@ -138,7 +138,7 @@ def _mul_spread(row, b_rows, dens):
 
 
 def _ratio(t, d):
-    """t / d for ints t and d > 0: an int where it divides, else one Fraction."""
+    """t / d for ints t and d != 0: an int where it divides, else one Fraction."""
     if d == 1 or not t:
         return t
     q, rem = divmod(t, d)

@@ -22,7 +22,7 @@ from math import gcd
 
 from . import riordan, series
 from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
-from .linalg import _clear_columns, _mul_cleared, pad_square
+from .linalg import _clear_columns, _mul_cleared, _ratio, pad_square
 from .riordan import RiordanArray
 from .series import _integer_row
 
@@ -65,8 +65,7 @@ def production_matrix(a_rows):
             lower, li = cols[i]
             c = lower[i]
             # P[i][j] = (t / den) / (c / li).
-            q, rem = divmod(t * li, den * c)
-            p[i][j] = Fraction(t * li, den * c) if rem else q
+            p[i][j] = _ratio(t * li, den * c)
             g = gcd(t, c)
             a, b = c // g, t // g
             if a < 0:
