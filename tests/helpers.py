@@ -10,7 +10,8 @@ the named Riordan arrays as group inverses of their rational partners
 or rebuilt from their production matrix, the production matrix by a
 forward substitution on Fraction rows, the dense LDL^T by Gaussian
 elimination on Fractions, the certificate's Hankel product H v as a
-plain sum, and the matrix product as the Fraction triple loop.  The library must agree with these on every tested input.
+plain sum, and the matrix product as the Fraction triple loop.  The
+library must agree with these on every tested input.
 """
 
 from __future__ import annotations
