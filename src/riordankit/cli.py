@@ -40,8 +40,8 @@ NAMED_ARRAYS = {
     "coefficient": lambda r, order: riordan.coefficient_array(r, order),
 }
 ARRAY_NAMES = tuple(NAMED_ARRAYS)
-# ``verify.SCOPES``, spelled out so that only ``verify`` itself imports the
-# check registry.
+# The scopes of ``verify``'s check registry, kept here so that ``--scope``
+# can list them without importing it.
 VERIFY_SCOPES = ("series", "sequences", "riordan", "hankel", "production", "berlekamp")
 
 

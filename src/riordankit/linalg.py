@@ -7,14 +7,12 @@ Triangular arrays are often kept ragged (row n holds n+1 entries);
 ``_bareiss_step`` is the row update of every elimination, the dense LDL^T
 in ``hankel`` included, and ``mat_mul`` the one matrix product.
 
-``mat_mul`` multiplies int numerators, in the (numerators, denominator)
-layout of ``series`` and FLINT's ``fmpq_mat``: each row of A and each
-column of B over one denominator, one Fraction at most per output entry.
-Its entries are ints where the value is an integer (zeros included) and
+``mat_mul`` multiplies int numerators, after the (numerators,
+denominator) layout of ``series`` and FLINT's ``fmpq_mat``: each column
+of B over one denominator, one Fraction at most per output entry.  Its
+entries are ints where the value is an integer (zeros included) and
 Fractions otherwise, whatever the entry types of A and B, as for
-``hankel.ldl``'s unit factor and ``production.production_matrix``.  A
-row of A whose denominators are far apart is the one exception to the
-layout: its entries keep their own (``_mul_spread``).
+``hankel.ldl``'s unit factor and ``production.production_matrix``.
 """
 
 from __future__ import annotations
@@ -49,20 +47,25 @@ def mat_mul(a, b):
     """The exact product A B of an m x n and an n x p matrix of int or
     Fraction entries.
 
-    Each column of B is put over one denominator, and so is each row of
-    A; the numerators are multiplied as ints, skipping zero entries, and
-    each output entry is one int numerator over the product of its row's
-    and its column's denominators.  An entry is an int where its value is
-    an integer, zeros included, and a Fraction otherwise.
+    Each column of B is put over one denominator, and the numerators are
+    multiplied as ints, skipping zero entries (see ``_mul_cleared``); each
+    output entry is one int numerator over one denominator.  An entry is
+    an int where its value is an integer, zeros included, and a Fraction
+    otherwise.  Raises ValueError unless every row of B has p entries and
+    every row of A has n.
     """
     return _mul_cleared(a, _clear_columns(b))
 
 
-# A row of A is not put over one denominator when that denominator would
-# take more than this many times the bits of the row's largest one, plus a
-# word: near coprime denominators, as in a row of a Hankel unit factor,
-# would swell every numerator (see ``_mul_spread``).
-_SPREAD = 8
+def row_orbit(row, b, count):
+    """The first ``count`` rows of row, row B, row B^2, ... for a square B,
+    entries as ``mat_mul`` gives them; B is put over column denominators
+    once, not once per row."""
+    cleared = _clear_columns(b)
+    rows = [row]
+    for _ in range(count - 1):
+        rows += _mul_cleared(rows[-1:], cleared)
+    return rows
 
 
 def _clear_columns(b):
@@ -72,60 +75,54 @@ def _clear_columns(b):
     cols = [_over_one_den(col) for col in zip(*b)]
     if any(len(row) != len(cols) for row in b):
         raise ValueError("the right factor must be a rectangular matrix")
+    nums = [num for num, _ in cols]
     rows = [
-        [(j, y) for j, y in enumerate(nums) if y]
-        for nums in zip(*(num for num, _ in cols))
+        [(j, col[i]) for j, col in enumerate(nums) if col[i]]
+        for i in range(len(b))
     ]
     dens = [den for _, den in cols]
     return rows, dens, all(den == 1 for den in dens)
 
 
-def _over_one_den(values, spread=None):
+def _over_one_den(values):
     """int or Fraction values as (int numerators, their least common
-    denominator); with a ``spread``, None where that denominator takes
-    more than ``spread`` times the bits of the largest one, plus a word."""
+    denominator)."""
     dens = [v.denominator for v in values]
     den = lcm(*dens)
     if den == 1:
         return [v.numerator for v in values], 1
-    if spread and den.bit_length() > spread * max(dens).bit_length() + 64:
-        return None
     return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _mul_cleared(a, cleared):
-    """A times a B cleared once by ``_clear_columns``, as ``mat_mul``."""
+    """A times a B cleared once by ``_clear_columns``, as ``mat_mul``.
+
+    The int entries of a row of A add into one int sum per output entry.
+    Its Fraction entries add into a second sum, kept over the least common
+    denominator of the entries that reach that output entry, one small gcd
+    per product, rather than of the whole row: the column denominators of
+    a Hankel unit factor are near coprime, so a row's common one would
+    swell every numerator.
+    """
     b_rows, dens, integral = cleared
     out = []
     for row in a:
-        row = row[: len(b_rows)]
-        over_one = _over_one_den(row, _SPREAD)
-        if over_one is None:
-            out.append(_mul_spread(row, b_rows, dens))
-            continue
-        num, den = over_one
+        if len(row) != len(b_rows):
+            raise ValueError("each row of the left factor must have one "
+                             "entry per row of the right factor")
+        whole = [0] * len(dens)
         acc = [0] * len(dens)
-        for x, pairs in zip(num, b_rows):
-            if x:
-                for j, y in pairs:
-                    acc[j] += x * y
-        if den == 1 and integral:
-            out.append(acc)
-        else:
-            out.append([_ratio(t, den * d) for t, d in zip(acc, dens)])
-    return out
-
-
-def _mul_spread(row, b_rows, dens):
-    """A row with far apart denominators times a cleared B: each output
-    numerator is kept over the least common denominator of the row
-    entries that reach it, one small gcd per product, rather than over
-    the denominator of the whole row."""
-    acc = [0] * len(dens)
-    acc_dens = [1] * len(dens)
-    for x, pairs in zip(row, b_rows):
-        if x:
+        acc_dens = [1] * len(dens)
+        exact = integral
+        for x, pairs in zip(row, b_rows):
+            if not x:
+                continue
             n, b = x.numerator, x.denominator
+            if b == 1:
+                for j, y in pairs:
+                    whole[j] += n * y
+                continue
+            exact = False
             for j, y in pairs:
                 d = acc_dens[j]
                 if d % b:
@@ -134,7 +131,14 @@ def _mul_spread(row, b_rows, dens):
                     acc_dens[j] = d * (b // g)
                 else:
                     acc[j] += n * y * (d // b)
-    return [_ratio(t, e * d) for t, e, d in zip(acc, acc_dens, dens)]
+        if exact:
+            out.append(whole)
+        else:
+            out.append([
+                _ratio(w * e + t, e * d)
+                for w, t, e, d in zip(whole, acc, acc_dens, dens)
+            ])
+    return out
 
 
 def _ratio(t, d):

@@ -8,9 +8,8 @@ rather than by forming the inverse.  The substitution runs column by
 column on int numerators over one denominator per column, and builds a
 Fraction only for a nonzero entry of P that is not an integer: O(N) int
 steps per nonzero entry, so O(N^2) for the tridiagonal P of a Hankel
-factor.  Rebuilding the array from P runs the relation forwards: P is
-cleared to int columns once, and each row is one ``linalg.mat_mul`` row
-product by it.
+factor.  Rebuilding the array from P runs the relation forwards, one
+row product by P per row (``linalg.row_orbit``).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from math import gcd
 
 from . import riordan, series
 from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
-from .linalg import _clear_columns, _mul_cleared, _ratio, pad_square
+from .linalg import pad_square, row_orbit
 from .riordan import RiordanArray
 from .series import _integer_row
 
@@ -65,7 +64,8 @@ def production_matrix(a_rows):
             lower, li = cols[i]
             c = lower[i]
             # P[i][j] = (t / den) / (c / li).
-            p[i][j] = _ratio(t * li, den * c)
+            q, rem = divmod(t * li, den * c)
+            p[i][j] = Fraction(t * li, den * c) if rem else q
             g = gcd(t, c)
             a, b = c // g, t // g
             if a < 0:
@@ -93,16 +93,12 @@ def matrix_from_production(p, dim: int):
     row_(n+1) = row_n * P; returns a dim x dim block.
 
     P is read as its leading dim x dim block, zero-padded where its rows
-    are short or too few, and cleared to int columns once.  Entries are
-    ints where the value is an integer, as ``linalg.mat_mul`` gives them.
+    are short or too few.  Entries are ints where the value is an integer,
+    as ``linalg.mat_mul`` gives them.
     """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    step = _clear_columns(pad_square(p, dim))
-    rows = [[1] + [0] * (dim - 1)]
-    for _ in range(dim - 1):
-        rows += _mul_cleared(rows[-1:], step)
-    return rows
+    return row_orbit([1] + [0] * (dim - 1), pad_square(p, dim), dim)
 
 
 def p_catalan(r: int, dim: int):

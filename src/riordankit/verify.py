@@ -22,8 +22,7 @@ from math import comb
 from operator import mul
 
 from . import berlekamp, hankel, linalg, production, riordan, sequences, series
-
-SCOPES = ("series", "sequences", "riordan", "hankel", "production", "berlekamp")
+from .cli import VERIFY_SCOPES as SCOPES
 
 _REGISTRY: dict = {}
 

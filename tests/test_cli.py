@@ -393,12 +393,6 @@ def test_only_verify_loads_the_check_registry_and_dataclasses():
     )
 
 
-def test_verify_scope_choices_are_the_registry_scopes():
-    from riordankit import cli, verify
-
-    assert cli.VERIFY_SCOPES == verify.SCOPES
-
-
 def test_help_exits_zero(capsys):
     assert run_cli(capsys, "--help")[0] == 0
     assert run_cli(capsys, "hankel", "--help")[0] == 0

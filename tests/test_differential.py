@@ -510,8 +510,8 @@ def test_determinant_and_solve_match_cofactor_routes():
 def matrix_pairs(rng):
     """(A, B) with int, Fraction or mixed entries, shapes from 0 x 0 up,
     rectangular ones, 0-row A, 0-column B, all-zero rows, and rows whose
-    entries have near coprime 40-bit denominators, whose common one
-    would swell past ``linalg._SPREAD`` times their bits."""
+    entries have near coprime 40-bit denominators, as a row of a Hankel
+    unit factor has."""
     pools = (
         (0, 0, 1, -1, 2, 3, -7),
         (Fraction(0), Fraction(1, 2), Fraction(-2, 3), Fraction(5), Fraction(7, 4)),
@@ -544,7 +544,7 @@ def matrix_pairs(rng):
 
 def test_mat_mul_matches_the_fraction_triple_loop():
     rng = random.Random(1968)
-    shapes, spread = set(), 0
+    shapes = set()
     for a, b in matrix_pairs(rng):
         got = linalg.mat_mul(a, b)
         assert got == fraction_mat_mul(a, b), (a, b)
@@ -552,13 +552,20 @@ def test_mat_mul_matches_the_fraction_triple_loop():
         for v in (v for row in got for v in row):
             assert type(v) is (int if v.denominator == 1 else Fraction), (a, b)
         shapes.add((len(a) > 0, len(b) > 0, bool(b) and len(b[0]) > 0))
-        spread += sum(linalg._over_one_den(row, linalg._SPREAD) is None for row in a)
-    assert len(shapes) == 6 and spread > 0
+    assert len(shapes) == 6
 
 
 def test_matrix_product_of_a_ragged_right_factor_is_an_error():
     with pytest.raises(ValueError, match="rectangular"):
         linalg.mat_mul([[1, 2]], [[1, 2], [3]])
+    # A row of A must have one entry per row of B, with or without columns.
+    for a in ([[1]], [[1, 2, 3]], [[1, 2], [3]]):
+        with pytest.raises(ValueError, match="one entry per row"):
+            linalg.mat_mul(a, [[1, 2], [3, 4]])
+    with pytest.raises(ValueError, match="one entry per row"):
+        linalg.mat_mul([[1, 2, 3]], [[], []])
+    assert linalg.mat_mul([[1, 2], [3, 4]], [[], []]) == [[], []]
+    assert linalg.mat_mul([[], []], []) == [[], []]
 
 
 def test_leading_minors_match_one_determinant_per_block():
