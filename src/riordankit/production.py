@@ -121,11 +121,12 @@ def p_catalan(r: int, dim: int):
 @lru_cache(maxsize=None)
 def a_p(r: int, order: int) -> RiordanArray:
     """The array (1, (1+(r-1)x-s)/2) with s as in ``riordan._central_root``:
-    the inverse of (1, x(1-x)/(r-(r-1)x)), generated by ``p_catalan(r)``.
+    the inverse of (1, x(1-x)/(r-(r-1)x)), generated by ``p_catalan(r)``,
+    whose rule is Z = (0), A = (r, 1, 1, ...).
     """
     s, _ = riordan._central_root(r, order)
     h = (series.poly([1, r - 1], order) - s) / 2
-    return RiordanArray(series.one(order), h)
+    return riordan._named(series.one(order), h, ((0,), (r,), 1), ("ap_inverse", r))
 
 
 def stieltjes_bridge(r: int, order: int):

@@ -5,12 +5,24 @@ h(0) = 0 and h'(0) != 0; column k of the associated lower-triangular
 matrix is generated by d * h^k.  The group operations (product, inverse,
 action on sequences) and the two named arrays built from the central and
 Catalan families live here.
+
+The named arrays also carry two pieces of plain data.  One is their
+production rule, as a Z-sequence and an A-sequence with a constant tail
+(Merlini, Rogers, Sprugnoli & Verri, 1997): row n + 1 of the matrix is
+row n times the production matrix, so ``to_matrix`` expands them in
+O(n^2) int steps.  The other names their group inverse, a rational array
+whose closed form ``inverse`` builds directly.  An array built as
+``RiordanArray(d, h)``, and every product or action, has neither: it
+expands column by column as d * h^k and inverts by Lagrange reversion,
+the routes that stay as the oracles of the fast ones.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from . import series
 from .errors import (
@@ -24,7 +36,7 @@ from .series import Series
 class RiordanArray:
     """A proper Riordan array; immutable once constructed."""
 
-    __slots__ = ("d", "h")
+    __slots__ = ("d", "h", "_rule", "_inverse")
 
     def __init__(self, d: Series, h: Series):
         if d.order < 1 or d.num[0] == 0:
@@ -33,6 +45,10 @@ class RiordanArray:
             raise ValueError("h must satisfy h(0) = 0 and h'(0) != 0")
         self.d = d
         self.h = h
+        # (z, a, tail) for ``_rule_rows`` and (name in _INVERSES, parameter),
+        # or None: set only by ``_named``.
+        self._rule = None
+        self._inverse = None
 
     @property
     def order(self) -> int:
@@ -57,12 +73,16 @@ class RiordanArray:
 
     def to_matrix(self, dim: int):
         """Leading dim x dim block as ragged lower-triangular rows of
-        Fractions.  Column k is d * h^k = x^k d (h/x)^k, so only the first
-        dim - k terms of d (h/x)^k are expanded."""
+        Fractions.  A named array runs its production rule (``_rule_rows``),
+        O(dim^2) int steps.  Otherwise column k is d * h^k = x^k d (h/x)^k,
+        so only the first dim - k terms of d (h/x)^k are expanded: one
+        truncated series product per column, O(dim^3)."""
         if dim > self.order:
             raise InsufficientOrder(
                 f"array of order {self.order} cannot fill a {dim} x {dim} block"
             )
+        if self._rule is not None:
+            return [[Fraction(v) for v in row] for row in _rule_rows(*self._rule, dim)]
         rows = [[] for _ in range(dim)]
         col = self.d.truncate(dim)
         h = self.h.truncate(dim).div_x(1)
@@ -82,7 +102,16 @@ class RiordanArray:
     __mul__ = multiply
 
     def inverse(self) -> "RiordanArray":
-        """Group inverse (1 / (d o hbar), hbar) with hbar the reversion of h."""
+        """Group inverse (1 / (d o hbar), hbar) with hbar the reversion of h.
+
+        A named array returns its partner's closed form at the same order
+        (``l_catalan`` and ``coefficient_array`` invert to each other,
+        ``binomial_power(k)`` to ``binomial_power(-k)``, ``l_central`` and
+        ``production.a_p`` to rational arrays); any other array reverts h
+        by Lagrange inversion, O(n^3)."""
+        if self._inverse is not None:
+            name, param = self._inverse
+            return _INVERSES[name](param, self.order)
         hbar = self.h.revert()
         d = 1 / self.d.compose(hbar)
         return RiordanArray(d, hbar)
@@ -101,6 +130,45 @@ class RiordanArray:
         return list(g.coeffs)
 
 
+def _named(d: Series, h: Series, rule, inverse) -> RiordanArray:
+    """RiordanArray(d, h) carrying its production rule and the name of its
+    inverse's closed form (either may be None)."""
+    arr = RiordanArray(d, h)
+    arr._rule, arr._inverse = rule, inverse
+    return arr
+
+
+def _rule_rows(z, a, tail, dim):
+    """The first dim rows, as ints, of the array with d(0) = 1 whose
+    production matrix has Z-sequence z (zero past its end) and A-sequence
+    a followed by tail, tail, ...:
+
+        row_(n+1)[0]   = sum_j z_j row_n[j]
+        row_(n+1)[k+1] = sum_j a_j row_n[k+j] + tail * sum_(i >= k+len(a)) row_n[i]
+
+    Each row costs O(n (len(a) + len(z))) int steps, the tail one running
+    suffix sum."""
+    if dim < 1:
+        return []
+    m = len(a)
+    row = [1]
+    rows = [row]
+    for n in range(1, dim):
+        nxt = [a[0] * v for v in row]
+        for j in range(1, min(m, n)):
+            c = a[j]
+            if c:
+                nxt[: n - j] = [s + c * v for s, v in zip(nxt, row[j:])]
+        if tail:
+            s = 0
+            for k in range(n - 1 - m, -1, -1):
+                s += row[k + m]
+                nxt[k] += tail * s
+        row = [sum(map(mul, z, row))] + nxt
+        rows.append(row)
+    return rows
+
+
 def identity(order: int) -> RiordanArray:
     """The identity array (1, x)."""
     return RiordanArray(series.one(order), series.x(order))
@@ -112,10 +180,14 @@ def binomial(order: int) -> RiordanArray:
 
 
 def binomial_power(k: int, order: int) -> RiordanArray:
-    """Integer power of the binomial array: (1/(1-kx), x/(1-kx)) for any k."""
-    return RiordanArray(
+    """Integer power of the binomial array: (1/(1-kx), x/(1-kx)) for any k.
+    Its production rule is Z = (k), A = (1, k): entry (n, m) is
+    C(n, m) k^(n-m)."""
+    return _named(
         series.rational([1], [1, -k], order),
         series.rational([0, 1], [1, -k], order),
+        ((k,), (1, k), 0),
+        ("binomial_power", -k),
     )
 
 
@@ -137,19 +209,37 @@ def _central_root(r: int, order: int):
 def l_central(r: int, order: int) -> RiordanArray:
     """Array whose column 0 is the central-coefficient family for r:
     (1/s, h) with s and h as in ``_central_root``, the inverse of
-    ((1-rx^2)/(1+(r+1)x+rx^2), x/(1+(r+1)x+rx^2)).
+    ((1-rx^2)/(1+(r+1)x+rx^2), x/(1+(r+1)x+rx^2)).  Its production
+    matrix is tridiagonal: Z = (r+1, 2r), A = (1, r+1, r).
     """
     s, h = _central_root(r, order)
-    return RiordanArray(1 / s, h)
+    return _named(1 / s, h, ((r + 1, 2 * r), (1, r + 1, r), 0), ("central_inverse", r))
+
+
+def _central_inverse(r: int, order: int) -> RiordanArray:
+    """((1-rx^2)/q, x/q) with q = 1+(r+1)x+rx^2: the inverse of ``l_central``."""
+    q = [1, r + 1, r]
+    return RiordanArray(
+        series.rational([1, 0, -r], q, order), series.rational([0, 1], q, order)
+    )
+
+
+def _ap_inverse(r: int, order: int) -> RiordanArray:
+    """(1, x(1-x)/(r-(r-1)x)): the inverse of ``production.a_p``."""
+    return RiordanArray(
+        series.one(order), series.rational([0, 1, -1], [r, -(r - 1)], order)
+    )
 
 
 def coefficient_array(r: int, order: int) -> RiordanArray:
     """(1/(1+rx), x/(1+(r+1)x+rx^2)): its rows are the characteristic
     coefficients of the generalized Catalan family, and its inverse is
     ``l_catalan``."""
-    return RiordanArray(
+    return _named(
         series.rational([1], [1, r], order),
         series.rational([0, 1], [1, r + 1, r], order),
+        None,
+        ("l_catalan", r),
     )
 
 
@@ -157,9 +247,23 @@ def coefficient_array(r: int, order: int) -> RiordanArray:
 def l_catalan(r: int, order: int) -> RiordanArray:
     """Array whose column 0 is the generalized Catalan family for r:
     (1 + rh, h) with h as in ``_central_root``, the inverse of
-    ``coefficient_array(r)``."""
+    ``coefficient_array(r)``.  Its production matrix is tridiagonal:
+    Z = (r, r), A = (1, r+1, r)."""
     _, h = _central_root(r, order)
-    return RiordanArray(series.one(order) + r * h, h)
+    return _named(
+        series.one(order) + r * h, h, ((r, r), (1, r + 1, r), 0), ("coefficient_array", r)
+    )
+
+
+# Closed forms of the inverses of the named arrays, by the name their
+# ``_inverse`` records: (parameter, order) -> RiordanArray.
+_INVERSES = {
+    "binomial_power": binomial_power,
+    "central_inverse": _central_inverse,
+    "ap_inverse": _ap_inverse,
+    "coefficient_array": coefficient_array,
+    "l_catalan": l_catalan,
+}
 
 
 def central_l_entry(n: int, k: int, r: int, method: str = "sumA") -> int:

@@ -703,6 +703,13 @@ def check_scaled_inverse(r_max, n_max):
 # ------------------------------------------------------------ production
 
 
+def _series_rows(arr, dim):
+    """The matrix of (arr.d, arr.h) expanded as d * h^k, not by the
+    production rule a named array carries: a claim that the series closed
+    form has some production matrix must not read that matrix back."""
+    return riordan.RiordanArray(arr.d, arr.h).to_matrix(dim)
+
+
 @check("production")
 def check_production_tables(r_max, n_max):
     out = []
@@ -780,7 +787,7 @@ def check_production_laws(r_max, n_max):
     out = []
     m = min(n_max, 8) + 1
     for r in _rs(r_max):
-        ap_rows = production.a_p(r, m + 1).to_matrix(m + 1)
+        ap_rows = _series_rows(production.a_p(r, m + 1), m + 1)
         _prop(
             out,
             f"production-extract-r{r}",
@@ -792,8 +799,8 @@ def check_production_laws(r_max, n_max):
         )
         for name, rows in (
             ("ap", ap_rows),
-            ("catalan", riordan.l_catalan(r, m + 1).to_matrix(m + 1)),
-            ("pascal", riordan.binomial(m + 1).to_matrix(m + 1)),
+            ("catalan", _series_rows(riordan.l_catalan(r, m + 1), m + 1)),
+            ("pascal", _series_rows(riordan.binomial(m + 1), m + 1)),
         ):
             rebuilt = production.matrix_from_production(
                 production.production_matrix(rows), m

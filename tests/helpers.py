@@ -273,8 +273,10 @@ def central_by_inverse(r, order):
 
 
 def catalan_by_inverse(r, order):
-    """``l_catalan`` as the inverse of ``coefficient_array``."""
-    return riordan.coefficient_array(r, order).inverse()
+    """``l_catalan`` as the inverse of ``coefficient_array``, by Lagrange
+    reversion: the plain array carries no closed form of its inverse."""
+    partner = riordan.coefficient_array(r, order)
+    return riordan.RiordanArray(partner.d, partner.h).inverse()
 
 
 def ap_by_inverse(r, order):

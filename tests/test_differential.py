@@ -3,22 +3,26 @@ Fraction one, the routes built on it and the single-pass elimination
 routes against per-window solves, cofactor determinants and dense
 elimination, and the forward-substitution production matrix against the
 inverse-times-shift product and the Fraction forward substitution, the
-integer matrix product against the Fraction triple loop, and the
+integer matrix product against the Fraction triple loop, the
 leading minors of one Bareiss pass against one determinant per block, on
-random, singular and too-short inputs.
+random, singular and too-short inputs, and the named Riordan arrays'
+production rules and closed-form inverses against the series expansion
+and the Lagrange inverse of the same (d, h).
 Values must be equal; errors must agree in type, message, order/index and
 partial result."""
 
 from __future__ import annotations
 
+import pickle
 import random
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
-from riordankit import berlekamp, hankel, linalg, production, riordan, sequences
+from riordankit import berlekamp, hankel, linalg, production, riordan, sequences, series
 from riordankit.errors import (
+    InsufficientOrder,
     InsufficientTerms,
     SingularDiagonal,
     SingularLeadingMinor,
@@ -587,3 +591,92 @@ def test_leading_minors_match_one_determinant_per_block():
             zero_pivots += 1
             recovered += any(expected[expected.index(0) + 1 :])
     assert zero_pivots > 0 and recovered > 0
+
+
+# ------------------------------------------------- named Riordan arrays
+
+RULE_ORDER = 48
+INVERSE_ORDER = 40
+NAMED_BUILDS = {
+    "catalan": riordan.l_catalan,
+    "central": riordan.l_central,
+    "ap": production.a_p,
+    "coefficient": riordan.coefficient_array,
+}
+
+
+def named_arrays(order):
+    """Every named array at the given order: (label, array)."""
+    for name, build in NAMED_BUILDS.items():
+        for r in range(1, 9):
+            yield f"{name}-r{r}", build(r, order)
+    for k in range(-8, 9):
+        yield f"binomial_power-k{k}", riordan.binomial_power(k, order)
+
+
+def plain(arr):
+    """The same (d, h) with no production rule and no closed-form inverse."""
+    return riordan.RiordanArray(arr.d, arr.h)
+
+
+def test_production_rules_match_the_series_expansion():
+    for label, arr in named_arrays(RULE_ORDER):
+        # The leading dim x dim block of the series matrix is its first dim rows.
+        expected = plain(arr).to_matrix(RULE_ORDER)
+        for dim in range(1, RULE_ORDER + 1):
+            got = arr.to_matrix(dim)
+            assert got == expected[:dim], (label, dim)
+            assert all(type(v) is Fraction for row in got for v in row), (label, dim)
+        assert arr.to_matrix(0) == plain(arr).to_matrix(0) == []
+        with pytest.raises(InsufficientOrder) as info:
+            arr.to_matrix(RULE_ORDER + 1)
+        with pytest.raises(InsufficientOrder) as plain_info:
+            plain(arr).to_matrix(RULE_ORDER + 1)
+        assert str(info.value) == str(plain_info.value)
+
+
+def test_closed_form_inverses_match_lagrange_reversion():
+    # The first n terms of an inverse depend only on the first n terms of
+    # the array inverted, so one reversion at INVERSE_ORDER serves every
+    # order; it is checked directly at the end points.
+    oracles = {label: plain(arr).inverse() for label, arr in named_arrays(INVERSE_ORDER)}
+    for order in range(2, INVERSE_ORDER + 1):
+        for label, arr in named_arrays(order):
+            got = arr.inverse()
+            want = oracles[label]
+            want = riordan.RiordanArray(want.d.truncate(order), want.h.truncate(order))
+            assert (got.d, got.h) == (want.d, want.h), (label, order)
+            assert repr(got) == repr(want), (label, order)
+            if order in (2, 3):
+                direct = plain(arr).inverse()
+                assert (got.d, got.h) == (direct.d, direct.h), (label, order)
+
+
+def test_named_arrays_expand_and_invert_without_series_products(monkeypatch):
+    arrays = list(named_arrays(INVERSE_ORDER))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a named array took the series route")
+
+    monkeypatch.setattr(series.Series, "revert", forbidden)
+    monkeypatch.setattr(series, "_mul_lists", forbidden)
+    for label, arr in arrays:
+        arr.inverse()
+        if not label.startswith("coefficient"):
+            arr.to_matrix(INVERSE_ORDER)
+
+
+def test_named_arrays_compare_print_and_pickle_as_their_series():
+    for label, arr in named_arrays(12):
+        twin = plain(arr)
+        assert arr == twin and hash(arr) == hash(twin), label
+        assert repr(arr) == repr(twin), label
+        inv = arr.inverse()
+        for obj in (arr, inv):
+            copy = pickle.loads(pickle.dumps(obj))
+            assert copy == obj and hash(copy) == hash(obj), label
+            assert repr(copy) == repr(obj), label
+            # The rule and the inverse's name are plain data and travel along.
+            assert (copy._rule, copy._inverse) == (obj._rule, obj._inverse), label
+            assert copy.to_matrix(12) == obj.to_matrix(12), label
+            assert copy.inverse() == obj.inverse(), label

@@ -6,7 +6,7 @@ import hashlib
 
 import pytest
 
-from riordankit import sequences, verify
+from riordankit import riordan, sequences, verify
 from riordankit.cli import canonical_json
 
 # sha256 of the canonical JSON report; a refactor of verify must keep every
@@ -42,3 +42,21 @@ def test_grid_search_reports_its_first_counterexample(monkeypatch):
     assert record.status == "fail"
     assert record.expected == "symmetric"
     assert record.actual == "mismatch at (2, 0)"
+
+
+def test_a_wrong_production_rule_fails_the_independent_checks(monkeypatch):
+    # l_catalan with beta = r + 1 below the diagonal in place of r: the
+    # series (d, h) stay right, only the matrix the rule expands is wrong.
+    true_build = riordan.l_catalan
+
+    def planted(r, order):
+        arr = true_build(r, order)
+        return riordan._named(arr.d, arr.h, ((r, r), (1, r + 1, r + 1), 0), arr._inverse)
+
+    monkeypatch.setattr(riordan, "l_catalan", planted)
+    report = verify.run_checks(["all"], 4, 8)
+    failed = {res.id for res in report.checks if res.status == "fail"}
+    # The rule's matrix against the LDL factor of the Hankel matrix, the
+    # family's own terms and a literal display table.
+    assert {"ldl-lfactor-catalan-r1", "l-catalan-col0-r2", "riordan-catalan-r3"} <= failed
+    assert all("catalan" in check for check in failed), failed
