@@ -126,7 +126,14 @@ def a_p(r: int, order: int) -> RiordanArray:
     """
     s, _ = riordan._central_root(r, order)
     h = (series.poly([1, r - 1], order) - s) / 2
-    return riordan._named(series.one(order), h, ((0,), (r,), 1), ("ap_inverse", r))
+    return riordan._named(series.one(order), h, ((0,), (r,), 1), (_ap_inverse, r))
+
+
+def _ap_inverse(r: int, order: int) -> RiordanArray:
+    """(1, x(1-x)/(r-(r-1)x)): the inverse of ``a_p``."""
+    return RiordanArray(
+        series.one(order), series.rational([0, 1, -1], [r, -(r - 1)], order)
+    )
 
 
 def stieltjes_bridge(r: int, order: int):

@@ -10,8 +10,8 @@ The named arrays also carry two pieces of plain data.  One is their
 production rule, as a Z-sequence and an A-sequence with a constant tail
 (Merlini, Rogers, Sprugnoli & Verri, 1997): row n + 1 of the matrix is
 row n times the production matrix, so ``to_matrix`` expands them in
-O(n^2) int steps.  The other names their group inverse, a rational array
-whose closed form ``inverse`` builds directly.  An array built as
+O(n^2) int steps.  The other is the module-level function that builds
+their group inverse, a rational array, in closed form for ``inverse``.  An array built as
 ``RiordanArray(d, h)``, and every product or action, has neither: it
 expands column by column as d * h^k and inverts by Lagrange reversion,
 the routes that stay as the oracles of the fast ones.
@@ -45,8 +45,9 @@ class RiordanArray:
             raise ValueError("h must satisfy h(0) = 0 and h'(0) != 0")
         self.d = d
         self.h = h
-        # (z, a, tail) for ``_rule_rows`` and (name in _INVERSES, parameter),
-        # or None: set only by ``_named``.
+        # (z, a, tail) for ``_rule_rows``, and (build, parameter) with
+        # build(parameter, order) the inverse's closed form, a module-level
+        # function so that the array still pickles; None unless ``_named``.
         self._rule = None
         self._inverse = None
 
@@ -110,8 +111,8 @@ class RiordanArray:
         ``production.a_p`` to rational arrays); any other array reverts h
         by Lagrange inversion, O(n^3)."""
         if self._inverse is not None:
-            name, param = self._inverse
-            return _INVERSES[name](param, self.order)
+            build, param = self._inverse
+            return build(param, self.order)
         hbar = self.h.revert()
         d = 1 / self.d.compose(hbar)
         return RiordanArray(d, hbar)
@@ -131,8 +132,8 @@ class RiordanArray:
 
 
 def _named(d: Series, h: Series, rule, inverse) -> RiordanArray:
-    """RiordanArray(d, h) carrying its production rule and the name of its
-    inverse's closed form (either may be None)."""
+    """RiordanArray(d, h) carrying its production rule and its inverse's
+    closed form (either may be None)."""
     arr = RiordanArray(d, h)
     arr._rule, arr._inverse = rule, inverse
     return arr
@@ -187,7 +188,7 @@ def binomial_power(k: int, order: int) -> RiordanArray:
         series.rational([1], [1, -k], order),
         series.rational([0, 1], [1, -k], order),
         ((k,), (1, k), 0),
-        ("binomial_power", -k),
+        (binomial_power, -k),
     )
 
 
@@ -213,7 +214,7 @@ def l_central(r: int, order: int) -> RiordanArray:
     matrix is tridiagonal: Z = (r+1, 2r), A = (1, r+1, r).
     """
     s, h = _central_root(r, order)
-    return _named(1 / s, h, ((r + 1, 2 * r), (1, r + 1, r), 0), ("central_inverse", r))
+    return _named(1 / s, h, ((r + 1, 2 * r), (1, r + 1, r), 0), (_central_inverse, r))
 
 
 def _central_inverse(r: int, order: int) -> RiordanArray:
@@ -221,13 +222,6 @@ def _central_inverse(r: int, order: int) -> RiordanArray:
     q = [1, r + 1, r]
     return RiordanArray(
         series.rational([1, 0, -r], q, order), series.rational([0, 1], q, order)
-    )
-
-
-def _ap_inverse(r: int, order: int) -> RiordanArray:
-    """(1, x(1-x)/(r-(r-1)x)): the inverse of ``production.a_p``."""
-    return RiordanArray(
-        series.one(order), series.rational([0, 1, -1], [r, -(r - 1)], order)
     )
 
 
@@ -239,7 +233,7 @@ def coefficient_array(r: int, order: int) -> RiordanArray:
         series.rational([1], [1, r], order),
         series.rational([0, 1], [1, r + 1, r], order),
         None,
-        ("l_catalan", r),
+        (l_catalan, r),
     )
 
 
@@ -251,19 +245,9 @@ def l_catalan(r: int, order: int) -> RiordanArray:
     Z = (r, r), A = (1, r+1, r)."""
     _, h = _central_root(r, order)
     return _named(
-        series.one(order) + r * h, h, ((r, r), (1, r + 1, r), 0), ("coefficient_array", r)
+        series.one(order) + r * h, h, ((r, r), (1, r + 1, r), 0), (coefficient_array, r)
     )
 
-
-# Closed forms of the inverses of the named arrays, by the name their
-# ``_inverse`` records: (parameter, order) -> RiordanArray.
-_INVERSES = {
-    "binomial_power": binomial_power,
-    "central_inverse": _central_inverse,
-    "ap_inverse": _ap_inverse,
-    "coefficient_array": coefficient_array,
-    "l_catalan": l_catalan,
-}
 
 
 def central_l_entry(n: int, k: int, r: int, method: str = "sumA") -> int:

@@ -638,7 +638,7 @@ def test_production_rules_match_the_series_expansion():
 def test_closed_form_inverses_match_lagrange_reversion():
     # The first n terms of an inverse depend only on the first n terms of
     # the array inverted, so one reversion at INVERSE_ORDER serves every
-    # order; it is checked directly at the end points.
+    # order; orders 2 and 3 are also checked against their own reversion.
     oracles = {label: plain(arr).inverse() for label, arr in named_arrays(INVERSE_ORDER)}
     for order in range(2, INVERSE_ORDER + 1):
         for label, arr in named_arrays(order):
