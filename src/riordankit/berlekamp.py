@@ -62,6 +62,19 @@ def _orthogonal_polys(steps):
     return polys
 
 
+def _entries(num, den, sign):
+    """sign * num / den entrywise: the ints themselves where den is 1, and
+    otherwise one Fraction per entry, unwrapped to an int where it
+    reduces to one."""
+    if den == 1:
+        return list(num) if sign == 1 else [-c for c in num]
+    out = []
+    for c in num:
+        f = Fraction(sign * c, den)
+        out.append(f.numerator if f.denominator == 1 else f)
+    return out
+
+
 def bm_triangle(a, count: int):
     """Rows of solutions for window sizes 1..count.
 
@@ -71,17 +84,15 @@ def bm_triangle(a, count: int):
     The characteristic polynomial of window d is the monic orthogonal
     polynomial pi_d of the moment pass, so row d-1 is -(the coefficients of
     pi_d below x^d).  The rows stop at the first vanishing leading minor,
-    which is the first singular window.
+    which is the first singular window.  An entry is an int where its value
+    is an integer and a Fraction otherwise.
     """
     if count < 0:
         raise ValueError("count must not be negative")
     windows = min(count, len(a) // 2)
     _, steps = _chebyshev(a[: 2 * windows], stop_at_zero=True)
     solved = next((j for j, (q, *_) in enumerate(steps) if len(q) > 2), len(steps))
-    rows = [
-        [Fraction(-c, den) for c in pi[:-1]]
-        for pi, den in _orthogonal_polys(steps[:solved])
-    ]
+    rows = [_entries(pi[:-1], den, -1) for pi, den in _orthogonal_polys(steps[:solved])]
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)
     if windows < count:
@@ -94,14 +105,14 @@ def char_poly(a, d: int):
 
     That is pi_d of the moment pass, which exists when H_d is invertible,
     also after a singular H_k, k < d: the pass runs through vanishing
-    minors.  A singular H_d raises SingularSystem(d).
+    minors.  A singular H_d raises SingularSystem(d).  Coefficients are
+    ints where their value is an integer and Fractions otherwise.
     """
     _window_terms(a, d)
     polys = _orthogonal_polys(_chebyshev(a[: 2 * d])[1])
     if not polys or len(polys[-1][0]) != d + 1:
         raise SingularSystem(d)
-    pi, den = polys[-1]
-    return [Fraction(c, den) for c in pi]
+    return _entries(*polys[-1], 1)
 
 
 def companion_check(a, d: int):
@@ -140,9 +151,8 @@ def coefficient_riordan_check(r: int, count: int):
     (1/(1+rx), x/(1+(r+1)x+rx^2)), the inverse of the Catalan-family array.
     """
     terms = [sequences.gen_catalan(n, r) for n in range(2 * max(count - 1, 1))]
-    rows = [[Fraction(1)]] + [
-        [-c for c in row] + [Fraction(1)]
-        for row in bm_triangle(terms, max(count - 1, 0))
+    rows = [[1]] + [
+        [-c for c in row] + [1] for row in bm_triangle(terms, max(count - 1, 0))
     ]
     if rows != riordan.coefficient_array(r, count + 1).to_matrix(count):
         raise CrossCheckFailed("characteristic rows do not match the inverse array")

@@ -163,10 +163,6 @@ def as_int(value) -> int:
     return f.numerator
 
 
-def int_rows(rows):
-    return [[as_int(e) for e in row] for row in rows]
-
-
 def _exact_div(a, b):
     if isinstance(a, int) and isinstance(b, int):
         return a // b

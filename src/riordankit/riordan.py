@@ -11,15 +11,23 @@ production rule, as a Z-sequence and an A-sequence with a constant tail
 (Merlini, Rogers, Sprugnoli & Verri, 1997): row n + 1 of the matrix is
 row n times the production matrix, so ``to_matrix`` expands them in
 O(n^2) int steps.  The other is the module-level function that builds
-their group inverse, a rational array, in closed form for ``inverse``.  An array built as
-``RiordanArray(d, h)``, and every product or action, has neither: it
-expands column by column as d * h^k and inverts by Lagrange reversion,
-the routes that stay as the oracles of the fast ones.
+their group inverse, a rational array, in closed form for ``inverse``.
+Where the production matrix is a tridiagonal J-matrix, the inverse's
+rows are the coefficients of the orthogonal polynomials it defines
+(Peart & Woan, 2000), so ``coefficient_array`` and the inverse of
+``l_central`` carry that J-matrix and expand by the three-term
+recurrence, again in O(n^2) int steps.  An array built as
+``RiordanArray(d, h)``, and every product or action, has none of this:
+it expands column by column as d * h^k and inverts by Lagrange
+reversion, the routes that stay as the oracles of the fast ones.
+
+``to_matrix`` hands out ragged rows whose entries are ints where the
+value is an integer and Fractions otherwise, as ``linalg.mat_mul`` and
+``production.production_matrix`` do.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -30,13 +38,14 @@ from .errors import (
     InsufficientOrder,
     UnsupportedParameter,
 )
+from .linalg import _ratio
 from .series import Series
 
 
 class RiordanArray:
     """A proper Riordan array; immutable once constructed."""
 
-    __slots__ = ("d", "h", "_rule", "_inverse")
+    __slots__ = ("d", "h", "_rule", "_jacobi", "_inverse")
 
     def __init__(self, d: Series, h: Series):
         if d.order < 1 or d.num[0] == 0:
@@ -45,10 +54,13 @@ class RiordanArray:
             raise ValueError("h must satisfy h(0) = 0 and h'(0) != 0")
         self.d = d
         self.h = h
-        # (z, a, tail) for ``_rule_rows``, and (build, parameter) with
-        # build(parameter, order) the inverse's closed form, a module-level
-        # function so that the array still pickles; None unless ``_named``.
+        # (z, a, tail) for ``_rule_rows``; (z, a) for ``_jacobi_inverse_rows``,
+        # the J-matrix rule of the array this one inverts; and (build,
+        # parameter) with build(parameter, order) the inverse's closed form,
+        # a module-level function so that the array still pickles.  None
+        # unless ``_named``.
         self._rule = None
+        self._jacobi = None
         self._inverse = None
 
     @property
@@ -73,23 +85,29 @@ class RiordanArray:
         return f"RiordanArray(d={self.d!r}, h={self.h!r})"
 
     def to_matrix(self, dim: int):
-        """Leading dim x dim block as ragged lower-triangular rows of
-        Fractions.  A named array runs its production rule (``_rule_rows``),
-        O(dim^2) int steps.  Otherwise column k is d * h^k = x^k d (h/x)^k,
-        so only the first dim - k terms of d (h/x)^k are expanded: one
-        truncated series product per column, O(dim^3)."""
+        """Leading dim x dim block as ragged lower-triangular rows; an entry
+        is an int where its value is an integer and a Fraction otherwise.
+        A named array runs its production rule (``_rule_rows``) or, as the
+        inverse of a J-matrix rule, the three-term recurrence
+        (``_jacobi_inverse_rows``): O(dim^2) int steps either way.
+        Otherwise column k is d * h^k = x^k d (h/x)^k, so only the first
+        dim - k terms of d (h/x)^k are expanded: one truncated series
+        product per column, O(dim^3), read off its (num, den)."""
         if dim > self.order:
             raise InsufficientOrder(
                 f"array of order {self.order} cannot fill a {dim} x {dim} block"
             )
         if self._rule is not None:
-            return [[Fraction(v) for v in row] for row in _rule_rows(*self._rule, dim)]
+            return _rule_rows(*self._rule, dim)
+        if self._jacobi is not None:
+            return _jacobi_inverse_rows(*self._jacobi, dim)
         rows = [[] for _ in range(dim)]
         col = self.d.truncate(dim)
         h = self.h.truncate(dim).div_x(1)
         for k in range(dim):
-            for n, c in enumerate(col.coeffs, k):
-                rows[n].append(c)
+            den = col.den
+            for n, c in enumerate(col.num, k):
+                rows[n].append(c if den == 1 else _ratio(c, den))
             if k + 1 < dim:
                 col = col.truncate(dim - k - 1) * h
         return rows
@@ -108,8 +126,10 @@ class RiordanArray:
         A named array returns its partner's closed form at the same order
         (``l_catalan`` and ``coefficient_array`` invert to each other,
         ``binomial_power(k)`` to ``binomial_power(-k)``, ``l_central`` and
-        ``production.a_p`` to rational arrays); any other array reverts h
-        by Lagrange inversion, O(n^3)."""
+        ``production.a_p`` to rational arrays).  Every partner but that of
+        ``a_p``, whose production matrix is dense, expands by a rule in
+        O(n^2) int steps.  Any other array reverts h by Lagrange
+        inversion, O(n^3)."""
         if self._inverse is not None:
             build, param = self._inverse
             return build(param, self.order)
@@ -131,11 +151,12 @@ class RiordanArray:
         return list(g.coeffs)
 
 
-def _named(d: Series, h: Series, rule, inverse) -> RiordanArray:
-    """RiordanArray(d, h) carrying its production rule and its inverse's
-    closed form (either may be None)."""
+def _named(d: Series, h: Series, rule, inverse, jacobi=None) -> RiordanArray:
+    """RiordanArray(d, h) carrying its production rule, its inverse's
+    closed form and the J-matrix rule of the array it inverts (any may be
+    None)."""
     arr = RiordanArray(d, h)
-    arr._rule, arr._inverse = rule, inverse
+    arr._rule, arr._inverse, arr._jacobi = rule, inverse, jacobi
     return arr
 
 
@@ -167,6 +188,30 @@ def _rule_rows(z, a, tail, dim):
                 nxt[k] += tail * s
         row = [sum(map(mul, z, row))] + nxt
         rows.append(row)
+    return rows
+
+
+def _jacobi_inverse_rows(z, a, dim):
+    """The first dim rows, as ints, of the inverse of the array with d(0) = 1
+    whose production matrix is the J-matrix of Z = (z_0, z_1) and
+    A = (1, a_1, a_2), no tail.  That matrix has alpha_0 = z_0 and
+    alpha_n = a_1 on its diagonal, beta_1 = z_1 and beta_n = a_2 below it,
+    and the rows of the inverse are the monic orthogonal polynomials it
+    defines (Peart & Woan, 2000):
+
+        row_(n+1)[k] = row_n[k-1] - alpha_n row_n[k] - beta_n row_(n-1)[k]
+
+    Each row costs O(n) int steps."""
+    (z0, z1), (_, a1, a2) = z, a
+    prev, row = [], [1]
+    rows = []
+    for n in range(dim):
+        rows.append(row)
+        alpha, beta = (z0, 0) if n == 0 else (a1, z1 if n == 1 else a2)
+        nxt = [s - alpha * v for s, v in zip([0] + row, row)] + [1]
+        if beta:
+            nxt[:n] = [s - beta * v for s, v in zip(nxt, prev)]
+        prev, row = row, nxt
     return rows
 
 
@@ -218,22 +263,28 @@ def l_central(r: int, order: int) -> RiordanArray:
 
 
 def _central_inverse(r: int, order: int) -> RiordanArray:
-    """((1-rx^2)/q, x/q) with q = 1+(r+1)x+rx^2: the inverse of ``l_central``."""
+    """((1-rx^2)/q, x/q) with q = 1+(r+1)x+rx^2: the inverse of ``l_central``,
+    expanded by the three-term recurrence of its J-matrix."""
     q = [1, r + 1, r]
-    return RiordanArray(
-        series.rational([1, 0, -r], q, order), series.rational([0, 1], q, order)
+    return _named(
+        series.rational([1, 0, -r], q, order),
+        series.rational([0, 1], q, order),
+        None,
+        None,
+        jacobi=((r + 1, 2 * r), (1, r + 1, r)),
     )
 
 
 def coefficient_array(r: int, order: int) -> RiordanArray:
     """(1/(1+rx), x/(1+(r+1)x+rx^2)): its rows are the characteristic
     coefficients of the generalized Catalan family, and its inverse is
-    ``l_catalan``."""
+    ``l_catalan``, whose J-matrix gives them by the three-term recurrence."""
     return _named(
         series.rational([1], [1, r], order),
         series.rational([0, 1], [1, r + 1, r], order),
         None,
         (l_catalan, r),
+        jacobi=((r, r), (1, r + 1, r)),
     )
 
 

@@ -144,8 +144,13 @@ class Series:
     def order(self) -> int:
         return len(self.num)
 
-    def __getitem__(self, n) -> Fraction:
-        return self.coeffs[n]
+    def __getitem__(self, n):
+        """Coefficient n as a Fraction, or a slice of them as a tuple;
+        only the Fractions returned are built."""
+        den = self.den
+        if isinstance(n, slice):
+            return tuple(Fraction(c, den) for c in self.num[n])
+        return Fraction(self.num[n], den)
 
     def __eq__(self, other):
         if isinstance(other, Series):
@@ -156,7 +161,7 @@ class Series:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        head = ", ".join(str(c) for c in self.coeffs[:6])
+        head = ", ".join(str(c) for c in self[:6])
         tail = ", ..." if self.order > 6 else ""
         return f"Series([{head}{tail}], order={self.order})"
 

@@ -509,3 +509,28 @@ def test_zero_rich_digest_is_pinned(capsys, monkeypatch):
         code, out, err = run_cli(capsys, *argv)
         digest.update(repr((argv, stdin, code, out, err)).encode())
     assert digest.hexdigest() == ZERO_RICH_DIGEST
+
+
+# sha256 of the exit code, stdout and stderr of every command in
+# ``large_size_commands``: the named arrays and their inverses at the orders
+# the ``riordan`` workload runs, past the sweep's ``--size 12``.
+LARGE_SIZE_DIGEST = "04ccd74357a5392045053fc00438a709ef92b9c1ca6c6cd754a2e8aa173e19bb"
+
+
+def large_size_commands():
+    for array in ("catalan", "central", "ap", "coefficient"):
+        for r in ("1", "4", "8"):
+            for n in ("24", "40"):
+                base = ["riordan", array, "--r", r, "--size", n]
+                yield base
+                yield base + ["--inverse"]
+    for r in ("1", "4", "8"):
+        yield ["production", "bridge", "--r", r, "--size", "16"]
+
+
+def test_large_size_digest_is_pinned(capsys):
+    digest = hashlib.sha256()
+    for argv in large_size_commands():
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(repr((argv, code, out, err)).encode())
+    assert digest.hexdigest() == LARGE_SIZE_DIGEST

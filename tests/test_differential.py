@@ -8,8 +8,9 @@ leading minors of one Bareiss pass against one determinant per block, on
 random, singular and too-short inputs, and the named Riordan arrays'
 production rules and closed-form inverses against the series expansion
 and the Lagrange inverse of the same (d, h).
-Values must be equal; errors must agree in type, message, order/index and
-partial result."""
+Values must be equal, and where a route promises an int for an integral
+entry, so must the entry types; errors must agree in type, message,
+order/index and partial result."""
 
 from __future__ import annotations
 
@@ -60,11 +61,17 @@ def outcome(fn, *args):
         )
 
 
+def int_where_integral(values):
+    """Fractions as the library hands out entries: an int where the value
+    is an integer."""
+    return [v.numerator if v.denominator == 1 else v for v in values]
+
+
 def per_window_triangle(a, count):
     rows = []
     for d in range(1, count + 1):
         try:
-            rows.append(berlekamp.solve_bm(a, d))
+            rows.append(int_where_integral(berlekamp.solve_bm(a, d)))
         except SingularSystem:
             raise SingularSystem(d, partial=rows) from None
     return rows
@@ -146,7 +153,7 @@ def test_recurrence_routes_match_per_window_solves():
     seen = set()
     for a, count in sequences_under_test(rng):
         expected = outcome(per_window_triangle, a, count)
-        assert outcome(berlekamp.bm_triangle, a, count) == expected, (a, count)
+        assert repr(outcome(berlekamp.bm_triangle, a, count)) == repr(expected), (a, count)
         seen.add(expected[0])
         for d in range(1, count + 1):
             assert outcome(berlekamp.companion_check, a, d) == outcome(
@@ -217,7 +224,7 @@ def test_moment_pass_stops_after_the_first_vanishing_minor():
 
 
 def window_char_poly(a, d):
-    return [-c for c in berlekamp.solve_bm(a, d)] + [Fraction(1)]
+    return int_where_integral([-c for c in berlekamp.solve_bm(a, d)]) + [1]
 
 
 def test_char_poly_matches_window_solves():
@@ -620,19 +627,30 @@ def plain(arr):
 
 
 def test_production_rules_match_the_series_expansion():
-    for label, arr in named_arrays(RULE_ORDER):
-        # The leading dim x dim block of the series matrix is its first dim rows.
-        expected = plain(arr).to_matrix(RULE_ORDER)
-        for dim in range(1, RULE_ORDER + 1):
-            got = arr.to_matrix(dim)
-            assert got == expected[:dim], (label, dim)
-            assert all(type(v) is Fraction for row in got for v in row), (label, dim)
-        assert arr.to_matrix(0) == plain(arr).to_matrix(0) == []
-        with pytest.raises(InsufficientOrder) as info:
-            arr.to_matrix(RULE_ORDER + 1)
-        with pytest.raises(InsufficientOrder) as plain_info:
-            plain(arr).to_matrix(RULE_ORDER + 1)
-        assert str(info.value) == str(plain_info.value)
+    # The rule routes, the three-term recurrence of the partners included,
+    # must hand out the series route's entries, types too: an int where the
+    # value is an integer, a Fraction otherwise.
+    for label, named in named_arrays(RULE_ORDER):
+        for arr in (named, named.inverse()):
+            # The leading dim x dim block of the series matrix is its first dim rows.
+            expected = plain(arr).to_matrix(RULE_ORDER)
+            assert all(type(v) is int for row in expected for v in row
+                       if v.denominator == 1), label
+            for dim in range(1, RULE_ORDER + 1):
+                assert repr(arr.to_matrix(dim)) == repr(expected[:dim]), (label, dim)
+            assert arr.to_matrix(0) == plain(arr).to_matrix(0) == []
+            with pytest.raises(InsufficientOrder) as info:
+                arr.to_matrix(RULE_ORDER + 1)
+            with pytest.raises(InsufficientOrder) as plain_info:
+                plain(arr).to_matrix(RULE_ORDER + 1)
+            assert str(info.value) == str(plain_info.value)
+
+
+def test_three_term_recurrence_gives_the_binomial_inverses():
+    # binomial_power(k)'s rule Z = (k), A = (1, k) is a J-matrix with beta = 0.
+    for k in range(-4, 5):
+        want = riordan.binomial_power(-k, 30).to_matrix(30)
+        assert repr(riordan._jacobi_inverse_rows((k, 0), (1, k, 0), 30)) == repr(want), k
 
 
 def test_closed_form_inverses_match_lagrange_reversion():
@@ -661,9 +679,11 @@ def test_named_arrays_expand_and_invert_without_series_products(monkeypatch):
     monkeypatch.setattr(series.Series, "revert", forbidden)
     monkeypatch.setattr(series, "_mul_lists", forbidden)
     for label, arr in arrays:
-        arr.inverse()
-        if not label.startswith("coefficient"):
-            arr.to_matrix(INVERSE_ORDER)
+        inv = arr.inverse()
+        arr.to_matrix(INVERSE_ORDER)
+        # a_p's partner has a dense production matrix: it keeps the series.
+        if not label.startswith("ap"):
+            inv.to_matrix(INVERSE_ORDER)
 
 
 def test_named_arrays_compare_print_and_pickle_as_their_series():
@@ -676,7 +696,9 @@ def test_named_arrays_compare_print_and_pickle_as_their_series():
             copy = pickle.loads(pickle.dumps(obj))
             assert copy == obj and hash(copy) == hash(obj), label
             assert repr(copy) == repr(obj), label
-            # The rule and the inverse's name are plain data and travel along.
-            assert (copy._rule, copy._inverse) == (obj._rule, obj._inverse), label
+            # The rules and the inverse's name are plain data and travel along.
+            assert (copy._rule, copy._jacobi, copy._inverse) == (
+                obj._rule, obj._jacobi, obj._inverse
+            ), label
             assert copy.to_matrix(12) == obj.to_matrix(12), label
             assert copy.inverse() == obj.inverse(), label

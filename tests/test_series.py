@@ -162,3 +162,31 @@ def test_bivariate_expansion_of_pascal():
 def test_bivariate_rejects_zero_constant_denominator():
     with pytest.raises(ZeroConstantDivisor):
         series.bivariate_expand([[1]], [[0, 1], [1]], 4)
+
+
+def test_indexing_printing_and_hashing_build_only_what_they_read(monkeypatch):
+    from riordankit import production, riordan
+
+    rng = random.Random(5)
+    samples = [rand_series(rng, n) for n in (1, 3, 6, 7, 12)]
+    samples += [series.poly([2, 0, 4], 9), series.rational([1], [1, -3], 8)]
+    arrays = [riordan.l_catalan(3, 9), production.a_p(2, 7),
+              riordan.coefficient_array(2, 8), riordan.binomial(5)]
+    arrays += [arr.inverse() for arr in arrays]
+    before = [(s.coeffs, repr(s), [s[i] for i in range(-s.order, s.order)],
+               s[1:4], s[::-2]) for s in samples]
+    hashes = [(hash(arr), repr(arr)) for arr in arrays]
+
+    def forbidden(self):
+        raise AssertionError("built every coefficient to read a few")
+
+    monkeypatch.setattr(series.Series, "coeffs", property(forbidden))
+    for s, (cs, text, items, middle, back) in zip(samples, before):
+        assert repr(s) == text
+        assert [s[i] for i in range(-s.order, s.order)] == items
+        assert all(type(v) is Fraction for v in items)
+        assert (s[1:4], s[::-2]) == (middle, back) == (cs[1:4], cs[::-2])
+        assert list(items[s.order:]) == list(cs)
+        with pytest.raises(IndexError):
+            s[s.order]
+    assert [(hash(arr), repr(arr)) for arr in arrays] == hashes
