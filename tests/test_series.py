@@ -8,7 +8,7 @@ from math import comb
 
 import pytest
 
-from riordankit import series
+from riordankit import production, riordan, series
 from riordankit.errors import (
     InsufficientOrder,
     NonUnitConstant,
@@ -165,8 +165,6 @@ def test_bivariate_rejects_zero_constant_denominator():
 
 
 def test_indexing_printing_and_hashing_build_only_what_they_read(monkeypatch):
-    from riordankit import production, riordan
-
     rng = random.Random(5)
     samples = [rand_series(rng, n) for n in (1, 3, 6, 7, 12)]
     samples += [series.poly([2, 0, 4], 9), series.rational([1], [1, -3], 8)]
