@@ -1,13 +1,15 @@
-"""The verify report: pinned digests, grid bounds, and the failure branch."""
+"""The verify report: pinned digests, grid bounds, and the failure branches."""
 
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
-from riordankit import riordan, sequences, verify
+from riordankit import cli, hankel, production, riordan, sequences, verify
 from riordankit.cli import canonical_json
+from riordankit.errors import CrossCheckFailed, SingularLeadingMinor
 
 # sha256 of the canonical JSON report; a refactor of verify must keep every
 # check id, claim, parameter, expected and actual string byte for byte.
@@ -17,11 +19,47 @@ PINNED = {
 }
 
 
+# The same digest for each scope alone at (4, 8), where the scopes hold
+# 10, 48, 57, 267, 32 and 26 checks: a check filed under the wrong scope
+# keeps the full report's digest but changes two of these.
+PINNED_SCOPES = {
+    "series": "a09fb167d98a741d6972f9dcb23c2deba12127be90457c58713ff3996994d718",
+    "sequences": "cb9a753fad6e7fff42abe5411844b18ee1c0d6195bfea2ece4fc122cd649ed9c",
+    "riordan": "d4dcae87d1db11694e8d35eda3f608545707ec2c49f70499787aceeec73705bb",
+    "hankel": "3baf5d224409803d8e4359a1dce1fcbe9d9a4ce00b522cf9a8dd87c229659815",
+    "production": "db9cc8d3d7a6244fb07b50a7562720d4119e49453238bb87268c9e6a013b171a",
+    "berlekamp": "2b3b96376387627fad44e9b2325bf44e3e96afbf3faabfc6aced682ed1c39e42",
+}
+
+
+def _digest(report):
+    text = canonical_json(verify.report_data(report))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 @pytest.mark.parametrize("r_max, n_max", sorted(PINNED))
 def test_report_digest_is_pinned(r_max, n_max):
-    report = verify.run_checks(["all"], r_max, n_max)
-    text = canonical_json(verify.report_data(report))
-    assert hashlib.sha256(text.encode()).hexdigest() == PINNED[(r_max, n_max)]
+    assert _digest(verify.run_checks(["all"], r_max, n_max)) == PINNED[(r_max, n_max)]
+
+
+@pytest.mark.parametrize("scope", verify.SCOPES)
+def test_scope_report_digest_is_pinned(scope):
+    assert _digest(verify.run_checks([scope], 4, 8)) == PINNED_SCOPES[scope]
+
+
+@pytest.mark.parametrize("r_max, n_max", sorted(PINNED))
+def test_scope_reports_merge_to_the_full_report(r_max, n_max):
+    merged = [
+        res for scope in verify.SCOPES
+        for res in verify.run_checks([scope], r_max, n_max).checks
+    ]
+    merged.sort(key=lambda res: res.id)
+    assert merged == verify.run_checks(["all"], r_max, n_max).checks
+
+
+def test_parallel_report_equals_serial():
+    serial = verify.run_checks(["all"], 4, 8)
+    assert verify.run_checks(["all"], 4, 8, parallel=True) == serial
 
 
 @pytest.mark.parametrize("r_max, n_max", [(0, 8), (4, 0), (-1, -1)])
@@ -60,3 +98,57 @@ def test_a_wrong_production_rule_fails_the_independent_checks(monkeypatch):
     # family's own terms and a literal display table.
     assert {"ldl-lfactor-catalan-r1", "l-catalan-col0-r2", "riordan-catalan-r3"} <= failed
     assert all("catalan" in check for check in failed), failed
+
+
+def test_a_guarded_construction_that_raises_fails_its_check(monkeypatch):
+    def planted(r, order):
+        raise CrossCheckFailed("planted bridge")
+
+    monkeypatch.setattr(production, "stieltjes_bridge", planted)
+    by_id = {res.id: res for res in verify.run_checks(["production"], 1, 8).checks}
+    record = by_id["stieltjes-bridge-r1"]
+    assert record.status == "fail"
+    assert record.expected == "holds"
+    assert record.actual == "CrossCheckFailed: planted bridge"
+
+
+def test_a_wrong_table_value_fails_its_row(monkeypatch):
+    true_coeff = riordan.egf_column_coeff
+
+    def planted(n, k, r):
+        return true_coeff(n, k, r) + 1000
+
+    monkeypatch.setattr(riordan, "egf_column_coeff", planted)
+    by_id = {res.id: res for res in verify.run_checks(["riordan"], 2, 4).checks}
+    record = by_id["riordan-entry-egf-2-0-2"]
+    assert record.status == "fail"
+    assert (record.expected, record.actual) == ("13", "1013")
+
+
+@pytest.mark.parametrize("error", [
+    ZeroDivisionError("planted division"),
+    SingularLeadingMinor(2, "planted minor"),
+], ids=["ZeroDivisionError", "SingularLeadingMinor"])
+@pytest.mark.parametrize("parallel", [False, True], ids=["serial", "parallel"])
+def test_a_check_that_raises_is_reported_as_a_failed_check(
+    capsys, monkeypatch, error, parallel
+):
+    def planted(h):
+        raise error
+
+    monkeypatch.setattr(hankel, "ldl", planted)
+    argv = ["verify", "--scope", "hankel", "--r-max", "2", "--n-max", "4"]
+    code = cli.main(argv + ["--parallel"] * parallel)
+    out, err = capsys.readouterr()
+    assert code == 1
+    assert "Traceback" not in err
+    data = json.loads(out)
+    raised = [c for c in data["checks"] if c["id"].endswith("-raised")]
+    assert raised
+    assert all(c["status"] == "fail" for c in raised)
+    assert all(c["actual"] == f"{type(error).__name__}: {error}" for c in raised)
+    # Checks that never call ldl still report, and pass.
+    assert any(c["id"].startswith("ht-central-") for c in data["checks"])
+    assert int(data["summary"]["failed"]) == len(
+        [c for c in data["checks"] if c["status"] == "fail"]
+    )
