@@ -50,6 +50,10 @@ class SingularLeadingMinor(RiordanKitError, ArithmeticError):
             message or f"leading principal minor of order {index + 1} vanishes"
         )
 
+    def __reduce__(self):
+        # Exception pickles as cls(*args), and args holds only the message.
+        return type(self), (self.index, str(self)), self.__dict__
+
 
 class SingularSystem(RiordanKitError, ArithmeticError):
     """A linear system built from Hankel rows is singular."""
@@ -58,6 +62,9 @@ class SingularSystem(RiordanKitError, ArithmeticError):
         self.order = order
         self.partial = partial
         super().__init__(message or f"linear system of order {order} is singular")
+
+    def __reduce__(self):
+        return type(self), (self.order, str(self), self.partial), self.__dict__
 
 
 class SingularDiagonal(RiordanKitError, ArithmeticError):

@@ -124,9 +124,13 @@ def a_p(r: int, order: int) -> RiordanArray:
     the inverse of (1, x(1-x)/(r-(r-1)x)), generated by ``p_catalan(r)``,
     whose rule is Z = (0), A = (r, 1, 1, ...).
     """
+    riordan._check_central(r, order)
+    return riordan._named(_ap_series, (r,), order, ((0,), (r,), 1), (_ap_inverse, r))
+
+
+def _ap_series(r: int, order: int):
     s, _ = riordan._central_root(r, order)
-    h = (series.poly([1, r - 1], order) - s) / 2
-    return riordan._named(series.one(order), h, ((0,), (r,), 1), (_ap_inverse, r))
+    return series.one(order), (series.poly([1, r - 1], order) - s) / 2
 
 
 def _ap_inverse(r: int, order: int) -> RiordanArray:
@@ -141,10 +145,12 @@ def stieltjes_bridge(r: int, order: int):
 
     Returns the ragged matrix rows; the equality is the bridge between the
     production-matrix picture and the LDL^T factor of the Catalan family.
+    The two matrices are compared: column 0 is d and column 1 is d * h,
+    and d(0) != 0, so equal matrices mean equal arrays.
     """
     ap = a_p(r, order)  # before Fraction(1, r): a_p rejects r < 1
     scale = RiordanArray(series.one(order), series.poly([0, Fraction(1, r)], order))
-    bridged = ap.multiply(riordan.binomial(order)).multiply(scale)
-    if bridged != riordan.l_catalan(r, order):
+    rows = ap.multiply(riordan.binomial(order)).multiply(scale).to_matrix(order)
+    if rows != riordan.l_catalan(r, order).to_matrix(order):
         raise CrossCheckFailed("bridge product does not match the Catalan array")
-    return bridged.to_matrix(order)
+    return rows

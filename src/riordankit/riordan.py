@@ -16,10 +16,15 @@ Where the production matrix is a tridiagonal J-matrix, the inverse's
 rows are the coefficients of the orthogonal polynomials it defines
 (Peart & Woan, 2000), so ``coefficient_array`` and the inverse of
 ``l_central`` carry that J-matrix and expand by the three-term
-recurrence, again in O(n^2) int steps.  An array built as
-``RiordanArray(d, h)``, and every product or action, has none of this:
-it expands column by column as d * h^k and inverts by Lagrange
-reversion, the routes that stay as the oracles of the fast ones.
+recurrence, again in O(n^2) int steps.  None of this reads the series
+(d, h), so a named array stores the module-level function that builds
+them and builds them on first read (``==``, ``repr``, ``apply``, a
+Lagrange inverse).  A product records its two factors: its matrix is
+the product of theirs (``linalg.mat_mul``), and its series
+(d1 (d2 o h1), h2 o h1) are composed only when read.  An array built as
+``RiordanArray(d, h)``, and every action, expands column by column as
+d * h^k and inverts by Lagrange reversion, the routes that stay as the
+oracles of the fast ones.
 
 ``to_matrix`` hands out ragged rows whose entries are ints where the
 value is an integer and Fractions otherwise, as ``linalg.mat_mul`` and
@@ -38,34 +43,63 @@ from .errors import (
     InsufficientOrder,
     UnsupportedParameter,
 )
-from .linalg import _ratio
+from .linalg import _ratio, mat_mul, pad_square
 from .series import Series
 
 
 class RiordanArray:
     """A proper Riordan array; immutable once constructed."""
 
-    __slots__ = ("d", "h", "_rule", "_jacobi", "_inverse")
+    __slots__ = (
+        "_d", "_h", "order", "_series", "_rule", "_jacobi", "_inverse", "_factors"
+    )
 
     def __init__(self, d: Series, h: Series):
-        if d.order < 1 or d.num[0] == 0:
-            raise ValueError("d must have a nonzero constant term")
-        if h.order < 2 or h.num[0] != 0 or h.num[1] == 0:
-            raise ValueError("h must satisfy h(0) = 0 and h'(0) != 0")
-        self.d = d
-        self.h = h
-        # (z, a, tail) for ``_rule_rows``; (z, a) for ``_jacobi_inverse_rows``,
-        # the J-matrix rule of the array this one inverts; and (build,
-        # parameter) with build(parameter, order) the inverse's closed form,
-        # a module-level function so that the array still pickles.  None
-        # unless ``_named``.
+        _check_series(d, h)
+        self._d = d
+        self._h = h
+        self.order = min(d.order, h.order)
+        # (build, args) with build(*args) the series (d, h), for an array
+        # whose series are built on first read (``_lazy``); (z, a, tail) for
+        # ``_rule_rows``; (z, a) for ``_jacobi_inverse_rows``, the J-matrix
+        # rule of the array this one inverts; (build, parameter) with
+        # build(parameter, order) the inverse's closed form; and the two
+        # factors of a product.  Every function is module-level, so that
+        # the array still pickles.  None unless ``_named`` or ``multiply``.
+        self._series = None
         self._rule = None
         self._jacobi = None
         self._inverse = None
+        self._factors = None
+
+    @classmethod
+    def _lazy(cls, build, args, order: int) -> "RiordanArray":
+        """The array of the given order whose series are build(*args),
+        built and validated on first read."""
+        arr = cls.__new__(cls)
+        arr._d = arr._h = None
+        arr.order = order
+        arr._series = (build, args)
+        arr._rule = arr._jacobi = arr._inverse = arr._factors = None
+        return arr
+
+    def _build(self):
+        build, args = self._series
+        d, h = build(*args)
+        _check_series(d, h)
+        self._d, self._h = d, h
 
     @property
-    def order(self) -> int:
-        return min(self.d.order, self.h.order)
+    def d(self) -> Series:
+        if self._d is None:
+            self._build()
+        return self._d
+
+    @property
+    def h(self) -> Series:
+        if self._h is None:
+            self._build()
+        return self._h
 
     def __eq__(self, other):
         if isinstance(other, RiordanArray):
@@ -89,9 +123,11 @@ class RiordanArray:
         is an int where its value is an integer and a Fraction otherwise.
         A named array runs its production rule (``_rule_rows``) or, as the
         inverse of a J-matrix rule, the three-term recurrence
-        (``_jacobi_inverse_rows``): O(dim^2) int steps either way.
-        Otherwise column k is d * h^k = x^k d (h/x)^k, so only the first
-        dim - k terms of d (h/x)^k are expanded: one truncated series
+        (``_jacobi_inverse_rows``): O(dim^2) int steps either way.  A
+        product multiplies its factors' blocks (``linalg.mat_mul``),
+        O(dim^3) with the zeros above the diagonals skipped, and reads no
+        series.  Otherwise column k is d * h^k = x^k d (h/x)^k, so only the
+        first dim - k terms of d (h/x)^k are expanded: one truncated series
         product per column, O(dim^3), read off its (num, den)."""
         if dim > self.order:
             raise InsufficientOrder(
@@ -101,6 +137,9 @@ class RiordanArray:
             return _rule_rows(*self._rule, dim)
         if self._jacobi is not None:
             return _jacobi_inverse_rows(*self._jacobi, dim)
+        if self._factors is not None:
+            left, right = (pad_square(f.to_matrix(dim)) for f in self._factors)
+            return [row[: n + 1] for n, row in enumerate(mat_mul(left, right))]
         rows = [[] for _ in range(dim)]
         col = self.d.truncate(dim)
         h = self.h.truncate(dim).div_x(1)
@@ -113,10 +152,15 @@ class RiordanArray:
         return rows
 
     def multiply(self, other: "RiordanArray") -> "RiordanArray":
-        """Group product: (d1, h1)(d2, h2) = (d1 * (d2 o h1), h2 o h1)."""
-        d = self.d * other.d.compose(self.h)
-        h = other.h.compose(self.h)
-        return RiordanArray(d, h)
+        """Group product: (d1, h1)(d2, h2) = (d1 * (d2 o h1), h2 o h1), of
+        the lesser order of the two.  Its matrix is the product of the two
+        matrices, which ``to_matrix`` multiplies; the series are composed
+        on first read."""
+        arr = RiordanArray._lazy(
+            _product_series, (self, other), min(self.order, other.order)
+        )
+        arr._factors = (self, other)
+        return arr
 
     __mul__ = multiply
 
@@ -126,10 +170,10 @@ class RiordanArray:
         A named array returns its partner's closed form at the same order
         (``l_catalan`` and ``coefficient_array`` invert to each other,
         ``binomial_power(k)`` to ``binomial_power(-k)``, ``l_central`` and
-        ``production.a_p`` to rational arrays).  Every partner but that of
-        ``a_p``, whose production matrix is dense, expands by a rule in
-        O(n^2) int steps.  Any other array reverts h by Lagrange
-        inversion, O(n^3)."""
+        ``production.a_p`` to rational arrays), without reading its own
+        series.  Every partner but that of ``a_p``, whose production matrix
+        is dense, expands by a rule in O(n^2) int steps.  Any other array
+        reverts h by Lagrange inversion, O(n^3)."""
         if self._inverse is not None:
             build, param = self._inverse
             return build(param, self.order)
@@ -151,12 +195,29 @@ class RiordanArray:
         return list(g.coeffs)
 
 
-def _named(d: Series, h: Series, rule, inverse, jacobi=None) -> RiordanArray:
-    """RiordanArray(d, h) carrying its production rule, its inverse's
-    closed form and the J-matrix rule of the array it inverts (any may be
-    None)."""
-    arr = RiordanArray(d, h)
+def _check_series(d: Series, h: Series):
+    if d.order < 1 or d.num[0] == 0:
+        raise ValueError("d must have a nonzero constant term")
+    if h.order < 2 or h.num[0] != 0 or h.num[1] == 0:
+        raise ValueError("h must satisfy h(0) = 0 and h'(0) != 0")
+
+
+def _product_series(left: RiordanArray, right: RiordanArray):
+    """The series of the product ``left.multiply(right)``."""
+    return left.d * right.d.compose(left.h), right.h.compose(left.h)
+
+
+def _named(build, args, order: int, rule, inverse, jacobi=None) -> RiordanArray:
+    """The array of the given order whose series are build(*args, order),
+    carrying its production rule, its inverse's closed form and the
+    J-matrix rule of the array it inverts (any may be None).  The series
+    are built on first read; below order 2, where h cannot be proper, they
+    are built at once, so the order fails here as ``RiordanArray(d, h)``
+    does."""
+    arr = RiordanArray._lazy(build, args + (order,), order)
     arr._rule, arr._inverse, arr._jacobi = rule, inverse, jacobi
+    if order < 2:
+        arr._build()
     return arr
 
 
@@ -230,11 +291,26 @@ def binomial_power(k: int, order: int) -> RiordanArray:
     Its production rule is Z = (k), A = (1, k): entry (n, m) is
     C(n, m) k^(n-m)."""
     return _named(
-        series.rational([1], [1, -k], order),
-        series.rational([0, 1], [1, -k], order),
+        _rational_series,
+        ((1,), (1, -k), (0, 1), (1, -k)),
+        order,
         ((k,), (1, k), 0),
         (binomial_power, -k),
     )
+
+
+def _rational_series(d_num, d_den, h_num, h_den, order: int):
+    """(d_num / d_den, h_num / h_den), rational functions given by their
+    polynomial coefficients, expanded to order terms."""
+    return series.rational(d_num, d_den, order), series.rational(h_num, h_den, order)
+
+
+def _check_central(r: int, order: int):
+    """The parameter checks of the arrays built on ``_central_root``."""
+    if r < 1:
+        raise UnsupportedParameter("r must be at least 1")
+    if order < 1:
+        raise InsufficientOrder("order must be at least 1")
 
 
 def _central_root(r: int, order: int):
@@ -242,10 +318,6 @@ def _central_root(r: int, order: int):
     order terms: the one square root behind ``l_central``, ``l_catalan``
     and ``production.a_p``.  h loses a term to the division by x, so s is
     taken to order + 1 terms first."""
-    if r < 1:
-        raise UnsupportedParameter("r must be at least 1")
-    if order < 1:
-        raise InsufficientOrder("order must be at least 1")
     s = series.poly([1, -2 * (r + 1), (r - 1) ** 2], order + 1).sqrt()
     h = (series.poly([1, -(r + 1)], order + 1) - s).div_x(1) / (2 * r)
     return s.truncate(order), h
@@ -258,17 +330,29 @@ def l_central(r: int, order: int) -> RiordanArray:
     ((1-rx^2)/(1+(r+1)x+rx^2), x/(1+(r+1)x+rx^2)).  Its production
     matrix is tridiagonal: Z = (r+1, 2r), A = (1, r+1, r).
     """
+    _check_central(r, order)
+    return _named(
+        _central_series,
+        (r,),
+        order,
+        ((r + 1, 2 * r), (1, r + 1, r), 0),
+        (_central_inverse, r),
+    )
+
+
+def _central_series(r: int, order: int):
     s, h = _central_root(r, order)
-    return _named(1 / s, h, ((r + 1, 2 * r), (1, r + 1, r), 0), (_central_inverse, r))
+    return 1 / s, h
 
 
 def _central_inverse(r: int, order: int) -> RiordanArray:
     """((1-rx^2)/q, x/q) with q = 1+(r+1)x+rx^2: the inverse of ``l_central``,
     expanded by the three-term recurrence of its J-matrix."""
-    q = [1, r + 1, r]
+    q = (1, r + 1, r)
     return _named(
-        series.rational([1, 0, -r], q, order),
-        series.rational([0, 1], q, order),
+        _rational_series,
+        ((1, 0, -r), q, (0, 1), q),
+        order,
         None,
         None,
         jacobi=((r + 1, 2 * r), (1, r + 1, r)),
@@ -280,8 +364,9 @@ def coefficient_array(r: int, order: int) -> RiordanArray:
     coefficients of the generalized Catalan family, and its inverse is
     ``l_catalan``, whose J-matrix gives them by the three-term recurrence."""
     return _named(
-        series.rational([1], [1, r], order),
-        series.rational([0, 1], [1, r + 1, r], order),
+        _rational_series,
+        ((1,), (1, r), (0, 1), (1, r + 1, r)),
+        order,
         None,
         (l_catalan, r),
         jacobi=((r, r), (1, r + 1, r)),
@@ -294,11 +379,15 @@ def l_catalan(r: int, order: int) -> RiordanArray:
     (1 + rh, h) with h as in ``_central_root``, the inverse of
     ``coefficient_array(r)``.  Its production matrix is tridiagonal:
     Z = (r, r), A = (1, r+1, r)."""
-    _, h = _central_root(r, order)
+    _check_central(r, order)
     return _named(
-        series.one(order) + r * h, h, ((r, r), (1, r + 1, r), 0), (coefficient_array, r)
+        _catalan_series, (r,), order, ((r, r), (1, r + 1, r), 0), (coefficient_array, r)
     )
 
+
+def _catalan_series(r: int, order: int):
+    _, h = _central_root(r, order)
+    return series.one(order) + r * h, h
 
 
 def central_l_entry(n: int, k: int, r: int, method: str = "sumA") -> int:

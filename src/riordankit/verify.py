@@ -257,7 +257,7 @@ def check_riordan_group_laws(r_max, n_max):
                 f"riordan-product-law-{name}-r{r}",
                 "the matrix of a product is the product of the matrices",
                 linalg.mat_mul(rows, b_rows),
-                linalg.pad_square(product.to_matrix(order)),
+                linalg.pad_square(_series_rows(product, order)),
                 r=r,
                 order=order,
             )
@@ -484,8 +484,10 @@ def check_scaled_inverse(r_max, n_max):
 
 def _series_rows(arr, dim):
     """The matrix of (arr.d, arr.h) expanded as d * h^k, not by the
-    production rule a named array carries: a claim that the series closed
-    form has some production matrix must not read that matrix back."""
+    production rule a named array carries nor as the matrix product of a
+    product's factors: a claim that the series closed form has some
+    production matrix, or that a product's matrix is the product of the
+    matrices, must not read that matrix back."""
     return riordan.RiordanArray(arr.d, arr.h).to_matrix(dim)
 
 

@@ -294,7 +294,11 @@ def test_criterion_8_structural_suites():
     seq = [(-1) ** n * (n + 1) for n in range(order)]
     for arr in arrays:
         for other in arrays:
-            lhs = linalg.pad_square(arr.multiply(other).to_matrix(order))
+            product = arr.multiply(other)
+            # The series route: the product's own to_matrix is the mat_mul below.
+            lhs = linalg.pad_square(
+                riordan.RiordanArray(product.d, product.h).to_matrix(order)
+            )
             rhs = linalg.mat_mul(
                 linalg.pad_square(arr.to_matrix(order)),
                 linalg.pad_square(other.to_matrix(order)),

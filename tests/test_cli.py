@@ -13,7 +13,7 @@ import sys
 import pytest
 
 import riordankit
-from riordankit import cli
+from riordankit import cli, production, riordan, series
 
 
 def run_cli(capsys, *argv):
@@ -534,3 +534,43 @@ def test_large_size_digest_is_pinned(capsys):
         code, out, err = run_cli(capsys, *argv)
         digest.update(repr((argv, code, out, err)).encode())
     assert digest.hexdigest() == LARGE_SIZE_DIGEST
+
+
+# sha256 of the exit code, stdout and stderr of every command in
+# ``series_free_commands`` and of one product's rows, recorded before the
+# named arrays built their series lazily.
+SERIES_FREE_DIGEST = "7523cf825728aa125345781c96a8af8109172854d900d1ef9b68795c78bd9fbe"
+
+
+def series_free_commands():
+    for array in ("catalan", "central", "binomial", "coefficient"):
+        base = ["riordan", array, "--r", "3", "--size", "40"]
+        yield base
+        yield base + ["--inverse"]
+    # The partner of a_p is a plain rational array: its --inverse expands
+    # its series.
+    yield ["riordan", "ap", "--r", "3", "--size", "40"]
+    yield ["production", "array", "--r", "3", "--size", "40"]
+    yield ["production", "bridge", "--r", "3", "--size", "40"]
+
+
+def test_named_arrays_and_products_print_without_building_series(capsys, monkeypatch):
+    # A named array expands by its rule and inverts to its partner's closed
+    # form, and a product multiplies its factors' matrices: none of them
+    # needs the square root, the divisions or the compositions behind (d, h).
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a series (d, h) was built")
+
+    for name in ("sqrt", "compose", "__truediv__", "__rtruediv__"):
+        monkeypatch.setattr(series.Series, name, forbidden)
+    monkeypatch.setattr(series, "rational", forbidden)
+    # An array cached with its series already read would hide a read.
+    for build in (riordan.l_central, riordan.l_catalan, production.a_p):
+        build.cache_clear()
+    digest = hashlib.sha256()
+    for argv in series_free_commands():
+        code, out, err = run_cli(capsys, *argv)
+        digest.update(repr((argv, code, out, err)).encode())
+    rows = riordan.l_central(3, 40).multiply(riordan.binomial(40)).to_matrix(40)
+    digest.update(repr(rows).encode())
+    assert digest.hexdigest() == SERIES_FREE_DIGEST

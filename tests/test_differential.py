@@ -6,8 +6,9 @@ inverse-times-shift product and the Fraction forward substitution, the
 integer matrix product against the Fraction triple loop, the
 leading minors of one Bareiss pass against one determinant per block, on
 random, singular and too-short inputs, and the named Riordan arrays'
-production rules and closed-form inverses against the series expansion
-and the Lagrange inverse of the same (d, h).
+production rules and closed-form inverses, and the products' matrix
+products of their factors, against the series expansion and the Lagrange
+inverse of the same (d, h).
 Values must be equal, and where a route promises an int for an integral
 entry, so must the entry types; errors must agree in type, message,
 order/index and partial result."""
@@ -702,3 +703,121 @@ def test_named_arrays_compare_print_and_pickle_as_their_series():
             ), label
             assert copy.to_matrix(12) == obj.to_matrix(12), label
             assert copy.inverse() == obj.inverse(), label
+
+
+# ------------------------------------------------------- Riordan products
+
+PRODUCT_ORDER_MAX = 24
+
+
+def random_plain(rng, order):
+    """A RiordanArray(d, h) of the given order with small random Fraction
+    coefficients, some of them integers and some zero."""
+    def coeff():
+        return Fraction(rng.randint(-4, 4), rng.choice((1, 1, 2, 3)))
+
+    def unit():
+        return Fraction(rng.choice((-2, -1, 1, 2)), rng.choice((1, 1, 3)))
+
+    d = [unit()] + [coeff() for _ in range(order - 1)]
+    h = [0, unit()] + [coeff() for _ in range(order - 2)]
+    return riordan.RiordanArray(series.Series(d), series.Series(h))
+
+
+def scale_array(r, order):
+    """(1, x/r), the bridge's last factor."""
+    x_over_r = series.poly([0, Fraction(1, r)], order)
+    return riordan.RiordanArray(series.one(order), x_over_r)
+
+
+def bridge_product(r, order):
+    """A_P(r) * B * (1, x/r), the product ``production.stieltjes_bridge`` expands."""
+    ap_b = production.a_p(r, order).multiply(riordan.binomial(order))
+    return ap_b.multiply(scale_array(r, order))
+
+
+def products(rng, order):
+    """(label, product) at the given order: plain x plain, named x named,
+    named x plain and plain x named, and nested triple products, the
+    bridge's A_P(r) * B * (1, x/r) among them."""
+    r = rng.randint(1, 4)
+    named = [
+        riordan.l_catalan(r, order),
+        riordan.l_central(r, order).inverse(),
+        production.a_p(r, order),
+        riordan.coefficient_array(r, order),
+        riordan.binomial_power(rng.choice((-2, -1, 2, 3)), order),
+    ]
+    left, right = rng.sample(named, 2)
+    plain_a, plain_b = random_plain(rng, order), random_plain(rng, order)
+    yield "plain*plain", plain_a.multiply(plain_b)
+    yield "named*named", left.multiply(right)
+    yield "named*plain", left.multiply(plain_a)
+    yield "plain*named", plain_b.multiply(right)
+    yield "bridge", bridge_product(r, order)
+    yield "named*(plain*named)", right.multiply(plain_a.multiply(left))
+    yield "(plain*named)*plain", plain_b.multiply(left).multiply(plain_a)
+
+
+def test_products_expand_as_their_series():
+    # The factors' blocks multiplied must hand out the entries, types too,
+    # of the product's own series expanded as d * h^k.
+    rng = random.Random(2105)
+    for order in range(2, PRODUCT_ORDER_MAX + 1):
+        for label, product in products(rng, order):
+            assert product.order == order, (label, order)
+            expected = plain(product).to_matrix(order)
+            for dim in range(order + 1):
+                assert repr(product.to_matrix(dim)) == repr(expected[:dim]), (
+                    label, order, dim
+                )
+            with pytest.raises(InsufficientOrder) as info:
+                product.to_matrix(order + 1)
+            with pytest.raises(InsufficientOrder) as plain_info:
+                plain(product).to_matrix(order + 1)
+            assert str(info.value) == str(plain_info.value)
+
+
+def test_products_of_unequal_orders_take_the_lesser():
+    rng = random.Random(2106)
+    for low, high in ((2, 5), (7, 12)):
+        for a, b in ((random_plain(rng, low), riordan.l_catalan(2, high)),
+                     (riordan.l_catalan(2, high), random_plain(rng, low))):
+            product = a.multiply(b)
+            assert product.order == plain(product).order == low
+            assert repr(product.to_matrix(low)) == repr(plain(product).to_matrix(low))
+
+
+def lazy_arrays(order):
+    """(label, builder) of arrays whose series are not built yet; the
+    cached constructors are called past their caches."""
+    return [
+        ("catalan", lambda: riordan.l_catalan.__wrapped__(2, order)),
+        ("central", lambda: riordan.l_central.__wrapped__(2, order)),
+        ("ap", lambda: production.a_p.__wrapped__(2, order)),
+        ("central-inverse", lambda: riordan.l_central.__wrapped__(2, order).inverse()),
+        ("coefficient", lambda: riordan.coefficient_array(2, order)),
+        ("binomial_power", lambda: riordan.binomial_power(-3, order)),
+        ("named*named", lambda: riordan.l_central.__wrapped__(2, order).multiply(
+            riordan.coefficient_array(3, order))),
+        ("bridge", lambda: bridge_product(3, order)),
+    ]
+
+
+def test_lazy_arrays_pickle_before_and_after_their_series_are_read():
+    order = 12
+    for label, build in lazy_arrays(order):
+        arr = build()
+        assert (arr._d, arr._h) == (None, None), label
+        before = pickle.loads(pickle.dumps(arr))
+        # Pickling builds nothing: the builder and its arguments travel.
+        assert (arr._d, before._d, before._h) == (None, None, None), label
+        arr.d
+        after = pickle.loads(pickle.dumps(arr))
+        assert after._d is not None, label
+        for copy in (before, after):
+            assert copy.order == arr.order, label
+            assert copy == arr and hash(copy) == hash(arr), label
+            assert repr(copy) == repr(arr), label
+            assert repr(copy.to_matrix(order)) == repr(arr.to_matrix(order)), label
+            assert copy.inverse() == arr.inverse(), label
