@@ -150,7 +150,7 @@ def coefficient_riordan_check(r: int, count: int):
     ``bm_triangle`` call.  Asserted equal to the expansion of
     (1/(1+rx), x/(1+(r+1)x+rx^2)), the inverse of the Catalan-family array.
     """
-    terms = [sequences.gen_catalan(n, r) for n in range(2 * max(count - 1, 1))]
+    terms = sequences.family_terms("catalan", 2 * max(count - 1, 1), r)
     rows = [[1]] + [
         [-c for c in row] + [1] for row in bm_triangle(terms, max(count - 1, 0))
     ]
@@ -169,7 +169,7 @@ def bm_gf_check(r: int, count: int):
     num = [[r], [r, 1]]
     den = series.poly2_mul([[1], [0, -1]], [[1], [r + 1, -1], [r]])
     table = series.bivariate_expand(num, den, count)
-    terms = [sequences.gen_catalan(n, r) for n in range(2 * count)]
+    terms = sequences.family_terms("catalan", 2 * count, r)
     expected = bm_triangle(terms, count)
     if table.rows != expected:
         raise CrossCheckFailed("generating function rows do not match the solved rows")

@@ -15,14 +15,13 @@ row product by P per row (``linalg.row_orbit``).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from itertools import islice
 from math import gcd
 
-from . import riordan, series
+from . import riordan
 from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
-from .linalg import pad_square, row_orbit
-from .riordan import RiordanArray
+from .linalg import _ratio, pad_square, row_orbit
+from .riordan import a_p
 from .series import _integer_row
 
 
@@ -118,39 +117,19 @@ def p_catalan(r: int, dim: int):
     return m
 
 
-@lru_cache(maxsize=None)
-def a_p(r: int, order: int) -> RiordanArray:
-    """The array (1, (1+(r-1)x-s)/2) with s as in ``riordan._central_root``:
-    the inverse of (1, x(1-x)/(r-(r-1)x)), generated by ``p_catalan(r)``,
-    whose rule is Z = (0), A = (r, 1, 1, ...).
-    """
-    riordan._check_central(r, order)
-    return riordan._named(_ap_series, (r,), order, ((0,), (r,), 1), (_ap_inverse, r))
-
-
-def _ap_series(r: int, order: int):
-    s, _ = riordan._central_root(r, order)
-    return series.one(order), (series.poly([1, r - 1], order) - s) / 2
-
-
-def _ap_inverse(r: int, order: int) -> RiordanArray:
-    """(1, x(1-x)/(r-(r-1)x)): the inverse of ``a_p``."""
-    return RiordanArray(
-        series.one(order), series.rational([0, 1, -1], [r, -(r - 1)], order)
-    )
-
-
 def stieltjes_bridge(r: int, order: int):
     """Expand A_P(r) * B * (1, x/r) and insist it equals the Catalan array.
 
     Returns the ragged matrix rows; the equality is the bridge between the
     production-matrix picture and the LDL^T factor of the Catalan family.
-    The two matrices are compared: column 0 is d and column 1 is d * h,
-    and d(0) != 0, so equal matrices mean equal arrays.
+    The factor (1, x/r) divides column k by r^k, so the rows are those of
+    A_P(r) * B with each column divided.  The two matrices are compared:
+    column 0 is d and column 1 is d * h, and d(0) != 0, so equal matrices
+    mean equal arrays.
     """
-    ap = a_p(r, order)  # before Fraction(1, r): a_p rejects r < 1
-    scale = RiordanArray(series.one(order), series.poly([0, Fraction(1, r)], order))
-    rows = ap.multiply(riordan.binomial(order)).multiply(scale).to_matrix(order)
+    ap_b = a_p(r, order).multiply(riordan.binomial(order)).to_matrix(order)
+    powers = [r**k for k in range(order)]
+    rows = [[_ratio(v, p) for v, p in zip(row, powers)] for row in ap_b]
     if rows != riordan.l_catalan(r, order).to_matrix(order):
         raise CrossCheckFailed("bridge product does not match the Catalan array")
     return rows

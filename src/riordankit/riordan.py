@@ -3,28 +3,26 @@
 A proper Riordan array is a pair of truncated series with d(0) != 0,
 h(0) = 0 and h'(0) != 0; column k of the associated lower-triangular
 matrix is generated by d * h^k.  The group operations (product, inverse,
-action on sequences) and the two named arrays built from the central and
+action on sequences) and the named arrays built from the central and
 Catalan families live here.
 
-The named arrays also carry two pieces of plain data.  One is their
-production rule, as a Z-sequence and an A-sequence with a constant tail
-(Merlini, Rogers, Sprugnoli & Verri, 1997): row n + 1 of the matrix is
-row n times the production matrix, so ``to_matrix`` expands them in
-O(n^2) int steps.  The other is the module-level function that builds
-their group inverse, a rational array, in closed form for ``inverse``.
-Where the production matrix is a tridiagonal J-matrix, the inverse's
-rows are the coefficients of the orthogonal polynomials it defines
-(Peart & Woan, 2000), so ``coefficient_array`` and the inverse of
-``l_central`` carry that J-matrix and expand by the three-term
-recurrence, again in O(n^2) int steps.  None of this reads the series
-(d, h), so a named array stores the module-level function that builds
-them and builds them on first read (``==``, ``repr``, ``apply``, a
-Lagrange inverse).  A product records its two factors: its matrix is
-the product of theirs (``linalg.mat_mul``), and its series
-(d1 (d2 o h1), h2 o h1) are composed only when read.  An array built as
-``RiordanArray(d, h)``, and every action, expands column by column as
-d * h^k and inverts by Lagrange reversion, the routes that stay as the
-oracles of the fast ones.
+A named array, and a product, is built by ``_named`` and carries its
+routes as plain data, module-level functions with their arguments, so
+that it still pickles.  ``_series = (build, args)``: build(*args) is the
+pair (d, h), built on first read (``==``, ``repr``, ``apply``, a
+Lagrange inverse).  ``_rows = (rows, args)``: rows(*args, dim) is the
+first dim rows of the matrix, which ``to_matrix`` hands out without
+reading the series.  ``rows`` is ``_rule_rows``, the production rule
+as a Z-sequence and an A-sequence with a constant tail (Merlini, Rogers,
+Sprugnoli & Verri, 1997); ``_jacobi_inverse_rows``, the three-term
+recurrence of the orthogonal polynomials whose coefficients are the rows
+of the inverse of a J-matrix rule (Peart & Woan, 2000); or
+``_product_rows``, the product of two factors' blocks.  The first two
+take O(n^2) int steps.  ``_inverse = (build, parameter)``:
+build(parameter, order) is the group inverse in closed form.  An array
+built as ``RiordanArray(d, h)`` has none of these: it expands column by
+column as d * h^k and inverts by Lagrange reversion, the routes that
+stay as the oracles of the fast ones.
 
 ``to_matrix`` hands out ragged rows whose entries are ints where the
 value is an integer and Fractions otherwise, as ``linalg.mat_mul`` and
@@ -50,38 +48,15 @@ from .series import Series
 class RiordanArray:
     """A proper Riordan array; immutable once constructed."""
 
-    __slots__ = (
-        "_d", "_h", "order", "_series", "_rule", "_jacobi", "_inverse", "_factors"
-    )
+    __slots__ = ("_d", "_h", "order", "_series", "_rows", "_inverse")
 
     def __init__(self, d: Series, h: Series):
         _check_series(d, h)
         self._d = d
         self._h = h
         self.order = min(d.order, h.order)
-        # (build, args) with build(*args) the series (d, h), for an array
-        # whose series are built on first read (``_lazy``); (z, a, tail) for
-        # ``_rule_rows``; (z, a) for ``_jacobi_inverse_rows``, the J-matrix
-        # rule of the array this one inverts; (build, parameter) with
-        # build(parameter, order) the inverse's closed form; and the two
-        # factors of a product.  Every function is module-level, so that
-        # the array still pickles.  None unless ``_named`` or ``multiply``.
-        self._series = None
-        self._rule = None
-        self._jacobi = None
-        self._inverse = None
-        self._factors = None
-
-    @classmethod
-    def _lazy(cls, build, args, order: int) -> "RiordanArray":
-        """The array of the given order whose series are build(*args),
-        built and validated on first read."""
-        arr = cls.__new__(cls)
-        arr._d = arr._h = None
-        arr.order = order
-        arr._series = (build, args)
-        arr._rule = arr._jacobi = arr._inverse = arr._factors = None
-        return arr
+        # The route data of ``_named`` (see the module docstring).
+        self._series = self._rows = self._inverse = None
 
     def _build(self):
         build, args = self._series
@@ -121,25 +96,17 @@ class RiordanArray:
     def to_matrix(self, dim: int):
         """Leading dim x dim block as ragged lower-triangular rows; an entry
         is an int where its value is an integer and a Fraction otherwise.
-        A named array runs its production rule (``_rule_rows``) or, as the
-        inverse of a J-matrix rule, the three-term recurrence
-        (``_jacobi_inverse_rows``): O(dim^2) int steps either way.  A
-        product multiplies its factors' blocks (``linalg.mat_mul``),
-        O(dim^3) with the zeros above the diagonals skipped, and reads no
-        series.  Otherwise column k is d * h^k = x^k d (h/x)^k, so only the
-        first dim - k terms of d (h/x)^k are expanded: one truncated series
+        An array with stored rows (``_rows``) runs them and reads no series.
+        Otherwise column k is d * h^k = x^k d (h/x)^k, so only the first
+        dim - k terms of d (h/x)^k are expanded: one truncated series
         product per column, O(dim^3), read off its (num, den)."""
         if dim > self.order:
             raise InsufficientOrder(
                 f"array of order {self.order} cannot fill a {dim} x {dim} block"
             )
-        if self._rule is not None:
-            return _rule_rows(*self._rule, dim)
-        if self._jacobi is not None:
-            return _jacobi_inverse_rows(*self._jacobi, dim)
-        if self._factors is not None:
-            left, right = (pad_square(f.to_matrix(dim)) for f in self._factors)
-            return [row[: n + 1] for n, row in enumerate(mat_mul(left, right))]
+        if self._rows is not None:
+            expand, args = self._rows
+            return expand(*args, dim)
         rows = [[] for _ in range(dim)]
         col = self.d.truncate(dim)
         h = self.h.truncate(dim).div_x(1)
@@ -154,13 +121,11 @@ class RiordanArray:
     def multiply(self, other: "RiordanArray") -> "RiordanArray":
         """Group product: (d1, h1)(d2, h2) = (d1 * (d2 o h1), h2 o h1), of
         the lesser order of the two.  Its matrix is the product of the two
-        matrices, which ``to_matrix`` multiplies; the series are composed
-        on first read."""
-        arr = RiordanArray._lazy(
-            _product_series, (self, other), min(self.order, other.order)
-        )
-        arr._factors = (self, other)
-        return arr
+        matrices (``_product_rows``); the series are composed on first
+        read."""
+        pair = (self, other)
+        order = min(self.order, other.order)
+        return _named(_product_series, pair, order, (_product_rows, pair), None)
 
     __mul__ = multiply
 
@@ -170,10 +135,10 @@ class RiordanArray:
         A named array returns its partner's closed form at the same order
         (``l_catalan`` and ``coefficient_array`` invert to each other,
         ``binomial_power(k)`` to ``binomial_power(-k)``, ``l_central`` and
-        ``production.a_p`` to rational arrays), without reading its own
-        series.  Every partner but that of ``a_p``, whose production matrix
-        is dense, expands by a rule in O(n^2) int steps.  Any other array
-        reverts h by Lagrange inversion, O(n^3)."""
+        ``a_p`` to rational arrays), without reading its own series.  Every
+        partner but that of ``a_p``, whose production matrix is dense,
+        expands by a rule in O(n^2) int steps.  Any other array reverts h
+        by Lagrange inversion, O(n^3)."""
         if self._inverse is not None:
             build, param = self._inverse
             return build(param, self.order)
@@ -202,23 +167,32 @@ def _check_series(d: Series, h: Series):
         raise ValueError("h must satisfy h(0) = 0 and h'(0) != 0")
 
 
+def _named(build, args, order: int, rows, inverse) -> RiordanArray:
+    """The array of the given order with the route data ``_series =
+    (build, args)``, ``_rows = rows`` and ``_inverse = inverse`` (the last
+    two may be None).  The series are built on first read; below order 2,
+    where h cannot be proper, they are built at once, so the order fails
+    here as ``RiordanArray(d, h)`` does."""
+    arr = RiordanArray.__new__(RiordanArray)
+    arr._d = arr._h = None
+    arr.order = order
+    arr._series, arr._rows, arr._inverse = (build, args), rows, inverse
+    if order < 2:
+        arr._build()
+    return arr
+
+
 def _product_series(left: RiordanArray, right: RiordanArray):
     """The series of the product ``left.multiply(right)``."""
     return left.d * right.d.compose(left.h), right.h.compose(left.h)
 
 
-def _named(build, args, order: int, rule, inverse, jacobi=None) -> RiordanArray:
-    """The array of the given order whose series are build(*args, order),
-    carrying its production rule, its inverse's closed form and the
-    J-matrix rule of the array it inverts (any may be None).  The series
-    are built on first read; below order 2, where h cannot be proper, they
-    are built at once, so the order fails here as ``RiordanArray(d, h)``
-    does."""
-    arr = RiordanArray._lazy(build, args + (order,), order)
-    arr._rule, arr._inverse, arr._jacobi = rule, inverse, jacobi
-    if order < 2:
-        arr._build()
-    return arr
+def _product_rows(left: RiordanArray, right: RiordanArray, dim):
+    """The first dim rows of ``left.multiply(right)``: the product of the
+    factors' blocks (``linalg.mat_mul``, O(dim^3) with the zeros above the
+    diagonals skipped), cut back to ragged rows."""
+    a, b = (pad_square(f.to_matrix(dim)) for f in (left, right))
+    return [row[: n + 1] for n, row in enumerate(mat_mul(a, b))]
 
 
 def _rule_rows(z, a, tail, dim):
@@ -292,9 +266,9 @@ def binomial_power(k: int, order: int) -> RiordanArray:
     C(n, m) k^(n-m)."""
     return _named(
         _rational_series,
-        ((1,), (1, -k), (0, 1), (1, -k)),
+        ((1,), (1, -k), (0, 1), (1, -k), order),
         order,
-        ((k,), (1, k), 0),
+        (_rule_rows, ((k,), (1, k), 0)),
         (binomial_power, -k),
     )
 
@@ -306,7 +280,8 @@ def _rational_series(d_num, d_den, h_num, h_den, order: int):
 
 
 def _check_central(r: int, order: int):
-    """The parameter checks of the arrays built on ``_central_root``."""
+    """The parameter checks of the arrays built on ``_central_root`` and
+    of their partners."""
     if r < 1:
         raise UnsupportedParameter("r must be at least 1")
     if order < 1:
@@ -316,8 +291,8 @@ def _check_central(r: int, order: int):
 def _central_root(r: int, order: int):
     """s = sqrt(1-2(r+1)x+(r-1)^2 x^2) and h = (1-(r+1)x-s)/(2rx), both to
     order terms: the one square root behind ``l_central``, ``l_catalan``
-    and ``production.a_p``.  h loses a term to the division by x, so s is
-    taken to order + 1 terms first."""
+    and ``a_p``.  h loses a term to the division by x, so s is taken to
+    order + 1 terms first."""
     s = series.poly([1, -2 * (r + 1), (r - 1) ** 2], order + 1).sqrt()
     h = (series.poly([1, -(r + 1)], order + 1) - s).div_x(1) / (2 * r)
     return s.truncate(order), h
@@ -333,9 +308,9 @@ def l_central(r: int, order: int) -> RiordanArray:
     _check_central(r, order)
     return _named(
         _central_series,
-        (r,),
+        (r, order),
         order,
-        ((r + 1, 2 * r), (1, r + 1, r), 0),
+        (_rule_rows, ((r + 1, 2 * r), (1, r + 1, r), 0)),
         (_central_inverse, r),
     )
 
@@ -351,11 +326,10 @@ def _central_inverse(r: int, order: int) -> RiordanArray:
     q = (1, r + 1, r)
     return _named(
         _rational_series,
-        ((1, 0, -r), q, (0, 1), q),
+        ((1, 0, -r), q, (0, 1), q, order),
         order,
+        (_jacobi_inverse_rows, ((r + 1, 2 * r), (1, r + 1, r))),
         None,
-        None,
-        jacobi=((r + 1, 2 * r), (1, r + 1, r)),
     )
 
 
@@ -363,13 +337,13 @@ def coefficient_array(r: int, order: int) -> RiordanArray:
     """(1/(1+rx), x/(1+(r+1)x+rx^2)): its rows are the characteristic
     coefficients of the generalized Catalan family, and its inverse is
     ``l_catalan``, whose J-matrix gives them by the three-term recurrence."""
+    _check_central(r, order)
     return _named(
         _rational_series,
-        ((1,), (1, r), (0, 1), (1, r + 1, r)),
+        ((1,), (1, r), (0, 1), (1, r + 1, r), order),
         order,
-        None,
+        (_jacobi_inverse_rows, ((r, r), (1, r + 1, r))),
         (l_catalan, r),
-        jacobi=((r, r), (1, r + 1, r)),
     )
 
 
@@ -381,13 +355,41 @@ def l_catalan(r: int, order: int) -> RiordanArray:
     Z = (r, r), A = (1, r+1, r)."""
     _check_central(r, order)
     return _named(
-        _catalan_series, (r,), order, ((r, r), (1, r + 1, r), 0), (coefficient_array, r)
+        _catalan_series,
+        (r, order),
+        order,
+        (_rule_rows, ((r, r), (1, r + 1, r), 0)),
+        (coefficient_array, r),
     )
 
 
 def _catalan_series(r: int, order: int):
     _, h = _central_root(r, order)
     return series.one(order) + r * h, h
+
+
+@lru_cache(maxsize=None)
+def a_p(r: int, order: int) -> RiordanArray:
+    """The array (1, (1+(r-1)x-s)/2) with s as in ``_central_root``: the
+    inverse of (1, x(1-x)/(r-(r-1)x)), generated by
+    ``production.p_catalan(r)``, whose rule is Z = (0), A = (r, 1, 1, ...).
+    """
+    _check_central(r, order)
+    return _named(
+        _ap_series, (r, order), order, (_rule_rows, ((0,), (r,), 1)), (_ap_inverse, r)
+    )
+
+
+def _ap_series(r: int, order: int):
+    s, _ = _central_root(r, order)
+    return series.one(order), (series.poly([1, r - 1], order) - s) / 2
+
+
+def _ap_inverse(r: int, order: int) -> RiordanArray:
+    """(1, x(1-x)/(r-(r-1)x)): the inverse of ``a_p``."""
+    return RiordanArray(
+        series.one(order), series.rational([0, 1, -1], [r, -(r - 1)], order)
+    )
 
 
 def central_l_entry(n: int, k: int, r: int, method: str = "sumA") -> int:

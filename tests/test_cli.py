@@ -557,11 +557,12 @@ def series_free_commands():
 def test_named_arrays_and_products_print_without_building_series(capsys, monkeypatch):
     # A named array expands by its rule and inverts to its partner's closed
     # form, and a product multiplies its factors' matrices: none of them
-    # needs the square root, the divisions or the compositions behind (d, h).
+    # needs the square root, the products, the divisions or the compositions
+    # behind (d, h).
     def forbidden(*args, **kwargs):
         raise AssertionError("a series (d, h) was built")
 
-    for name in ("sqrt", "compose", "__truediv__", "__rtruediv__"):
+    for name in ("sqrt", "compose", "__mul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(series.Series, name, forbidden)
     monkeypatch.setattr(series, "rational", forbidden)
     # An array cached with its series already read would hide a read.

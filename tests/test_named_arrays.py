@@ -62,7 +62,13 @@ def test_bridge_without_padding(r):
 
 @pytest.mark.parametrize(
     "build",
-    [riordan.l_central, riordan.l_catalan, production.a_p, production.stieltjes_bridge],
+    [
+        riordan.l_central,
+        riordan.l_catalan,
+        production.a_p,
+        riordan.coefficient_array,
+        production.stieltjes_bridge,
+    ],
 )
 def test_errors_at_small_orders_and_bad_r(build):
     too_small = (InsufficientOrder, "order must be at least 1")

@@ -90,7 +90,7 @@ def test_a_wrong_production_rule_fails_the_independent_checks(monkeypatch):
 
     def planted(r, order):
         arr = copy.copy(true_build(r, order))  # the original stays in the cache
-        arr._rule = ((r, r), (1, r + 1, r + 1), 0)
+        arr._rows = (riordan._rule_rows, ((r, r), (1, r + 1, r + 1), 0))
         return arr
 
     monkeypatch.setattr(riordan, "l_catalan", planted)
