@@ -77,14 +77,20 @@ def production_matrix(a_rows):
 
 
 def _columns(full, n):
-    """The first n columns of the square block as (int numerators, den).
+    """The first n columns of the square block as (int numerators, den):
+    an all-int column as it is over 1, any other over its least common
+    denominator.
 
     No solve reads row 0 of a column k > 0, so it is held as an int zero.
     """
-    return [
-        _integer_row((0,) + col[1:] if k else col)
-        for k, col in enumerate(islice(zip(*full), n))
-    ]
+    cols = []
+    for k, col in enumerate(islice(zip(*full), n)):
+        col = (0,) + col[1:] if k else col
+        if all(type(v) is int for v in col):
+            cols.append((list(col), 1))
+        else:
+            cols.append(_integer_row(col))
+    return cols
 
 
 def matrix_from_production(p, dim: int):

@@ -9,20 +9,21 @@ Catalan families live here.
 A named array, and a product, is built by ``_named`` and carries its
 routes as plain data, module-level functions with their arguments, so
 that it still pickles.  ``_series = (build, args)``: build(*args) is the
-pair (d, h), built on first read (``==``, ``repr``, ``apply``, a
-Lagrange inverse).  ``_rows = (rows, args)``: rows(*args, dim) is the
-first dim rows of the matrix, which ``to_matrix`` hands out without
-reading the series.  ``rows`` is ``_rule_rows``, the production rule
-as a Z-sequence and an A-sequence with a constant tail (Merlini, Rogers,
-Sprugnoli & Verri, 1997); ``_jacobi_inverse_rows``, the three-term
+pair (d, h), built on first read (``==``, ``repr``, ``apply`` to a
+Series, a Lagrange inverse).  ``_rows = (rows, args)``: rows(*args, dim)
+is the first dim rows of the matrix, which ``to_matrix`` hands out, and
+``apply`` to a list of terms multiplies by, without reading the series.
+``rows`` is ``_rule_rows``, the production rule as a Z-sequence and an
+A-sequence with a constant tail (Merlini, Rogers, Sprugnoli & Verri,
+1997); ``_jacobi_inverse_rows``, the three-term
 recurrence of the orthogonal polynomials whose coefficients are the rows
 of the inverse of a J-matrix rule (Peart & Woan, 2000); or
 ``_product_rows``, the product of two factors' blocks.  The first two
 take O(n^2) int steps.  ``_inverse = (build, parameter)``:
 build(parameter, order) is the group inverse in closed form.  An array
 built as ``RiordanArray(d, h)`` has none of these: it expands column by
-column as d * h^k and inverts by Lagrange reversion, the routes that
-stay as the oracles of the fast ones.
+column as d * h^k, acts as d * (f o h) and inverts by Lagrange reversion,
+the routes that stay as the oracles of the fast ones.
 
 ``to_matrix`` hands out ragged rows whose entries are ints where the
 value is an integer and Fractions otherwise, as ``linalg.mat_mul`` and
@@ -31,6 +32,7 @@ value is an integer and Fractions otherwise, as ``linalg.mat_mul`` and
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 from operator import mul
@@ -147,7 +149,16 @@ class RiordanArray:
         return RiordanArray(d, hbar)
 
     def apply(self, seq) -> list:
-        """Act on a sequence: the result has generating function d * (f o h)."""
+        """Act on a sequence: the result has generating function d * (f o h),
+        which is the matrix of the array times the vector of f's terms (the
+        fundamental theorem), as a list of Fractions.  An array with stored
+        rows (``_rows``) given terms rather than a Series returns that
+        matrix-vector product over its first ``order`` rows, O(order^2), and
+        reads no series.  A Series, or an array built as
+        ``RiordanArray(d, h)``, is composed and multiplied as series,
+        O(order^3): the route that stays as the oracle.  Terms are read as
+        ``series.poly`` reads them: ints and Fractions as they are, anything
+        else through ``Fraction``."""
         if isinstance(seq, Series):
             f = seq
         else:
@@ -155,6 +166,12 @@ class RiordanArray:
                 raise InsufficientOrder(
                     f"need at least {self.order} terms, got {len(seq)}"
                 )
+            if self._rows is not None:
+                nums, den = series._integer_row(list(seq)[: self.order])
+                return [
+                    Fraction(sum(map(mul, row, nums)), den)
+                    for row in self.to_matrix(self.order)
+                ]
             f = series.poly(seq, self.order)
         g = self.d * f.compose(self.h)
         return list(g.coeffs)
@@ -203,19 +220,17 @@ def _rule_rows(z, a, tail, dim):
         row_(n+1)[0]   = sum_j z_j row_n[j]
         row_(n+1)[k+1] = sum_j a_j row_n[k+j] + tail * sum_(i >= k+len(a)) row_n[i]
 
-    Each row costs O(n (len(a) + len(z))) int steps, the tail one running
-    suffix sum."""
+    The A part of a row is one comprehension over len(a) shifted views of
+    the row before (``_a_step``), the tail one running suffix sum.  Each
+    row costs O(n (len(a) + len(z))) int steps."""
     if dim < 1:
         return []
+    step = _a_step(a)
     m = len(a)
     row = [1]
     rows = [row]
     for n in range(1, dim):
-        nxt = [a[0] * v for v in row]
-        for j in range(1, min(m, n)):
-            c = a[j]
-            if c:
-                nxt[: n - j] = [s + c * v for s, v in zip(nxt, row[j:])]
+        nxt = step(row)
         if tail:
             s = 0
             for k in range(n - 1 - m, -1, -1):
@@ -224,6 +239,23 @@ def _rule_rows(z, a, tail, dim):
         row = [sum(map(mul, z, row))] + nxt
         rows.append(row)
     return rows
+
+
+def _a_step(a):
+    """row -> [sum_j a_j row[k+j] for k < len(row)], zero past the end of
+    the row, for an A-sequence of one, two or three terms: one pass over as
+    many shifted views of the row as there are terms."""
+    if len(a) == 1:
+        (a0,) = a
+        return lambda row: [a0 * u for u in row]
+    if len(a) == 2:
+        a0, a1 = a
+        return lambda row: [a0 * u + a1 * v for u, v in zip(row, row[1:] + [0])]
+    a0, a1, a2 = a
+    return lambda row: [
+        a0 * u + a1 * v + a2 * w
+        for u, v, w in zip(row, row[1:] + [0], row[2:] + [0, 0])
+    ]
 
 
 def _jacobi_inverse_rows(z, a, dim):
@@ -236,16 +268,16 @@ def _jacobi_inverse_rows(z, a, dim):
 
         row_(n+1)[k] = row_n[k-1] - alpha_n row_n[k] - beta_n row_(n-1)[k]
 
-    Each row costs O(n) int steps."""
+    Each row is one pass over the two rows before, O(n) int steps."""
     (z0, z1), (_, a1, a2) = z, a
     prev, row = [], [1]
     rows = []
     for n in range(dim):
         rows.append(row)
         alpha, beta = (z0, 0) if n == 0 else (a1, z1 if n == 1 else a2)
-        nxt = [s - alpha * v for s, v in zip([0] + row, row)] + [1]
-        if beta:
-            nxt[:n] = [s - beta * v for s, v in zip(nxt, prev)]
+        nxt = [
+            s - alpha * v - beta * w for s, v, w in zip([0] + row, row, prev + [0])
+        ] + [1]
         prev, row = row, nxt
     return rows
 
@@ -264,6 +296,8 @@ def binomial_power(k: int, order: int) -> RiordanArray:
     """Integer power of the binomial array: (1/(1-kx), x/(1-kx)) for any k.
     Its production rule is Z = (k), A = (1, k): entry (n, m) is
     C(n, m) k^(n-m)."""
+    if order < 1:
+        raise InsufficientOrder("order must be at least 1")
     return _named(
         _rational_series,
         ((1,), (1, -k), (0, 1), (1, -k), order),

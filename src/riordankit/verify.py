@@ -275,7 +275,7 @@ def check_riordan_group_laws(r_max, n_max):
                 f"riordan-fundamental-{name}-r{r}",
                 "acting via d*(f o h) equals the matrix-vector product",
                 linalg.mat_vec(rows, seq[:order]),
-                arr.apply(seq)[:order],
+                _plain(arr).apply(seq)[:order],
                 r=r,
                 order=order,
             )
@@ -482,13 +482,19 @@ def check_scaled_inverse(r_max, n_max):
 # ------------------------------------------------------------ production
 
 
+def _plain(arr):
+    """The same (arr.d, arr.h) with no production rule, no closed-form
+    inverse and no factors: its matrix expands as d * h^k and it acts as
+    d * (f o h).  A claim about a named array's or a product's matrix must
+    not read that matrix back."""
+    return riordan.RiordanArray(arr.d, arr.h)
+
+
 def _series_rows(arr, dim):
-    """The matrix of (arr.d, arr.h) expanded as d * h^k, not by the
-    production rule a named array carries nor as the matrix product of a
-    product's factors: a claim that the series closed form has some
-    production matrix, or that a product's matrix is the product of the
-    matrices, must not read that matrix back."""
-    return riordan.RiordanArray(arr.d, arr.h).to_matrix(dim)
+    """The matrix of ``_plain(arr)``: a claim that the series closed form
+    has some production matrix, or that a product's matrix is the product
+    of the matrices, compares with it."""
+    return _plain(arr).to_matrix(dim)
 
 
 @check("production")

@@ -9,11 +9,12 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import riordankit
-from riordankit import cli, production, riordan, series
+from riordankit import cli, production, riordan, sequences, series
 
 
 def run_cli(capsys, *argv):
@@ -554,20 +555,25 @@ def series_free_commands():
     yield ["production", "bridge", "--r", "3", "--size", "40"]
 
 
-def test_named_arrays_and_products_print_without_building_series(capsys, monkeypatch):
-    # A named array expands by its rule and inverts to its partner's closed
-    # form, and a product multiplies its factors' matrices: none of them
-    # needs the square root, the products, the divisions or the compositions
-    # behind (d, h).
+@pytest.fixture
+def no_series(monkeypatch):
+    """Make the square root, the products, the divisions and the
+    compositions behind (d, h) raise, and clear the named arrays' caches:
+    an array cached with its series already read would hide a read."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a series (d, h) was built")
 
     for name in ("sqrt", "compose", "__mul__", "__truediv__", "__rtruediv__"):
         monkeypatch.setattr(series.Series, name, forbidden)
     monkeypatch.setattr(series, "rational", forbidden)
-    # An array cached with its series already read would hide a read.
     for build in (riordan.l_central, riordan.l_catalan, production.a_p):
         build.cache_clear()
+
+
+def test_named_arrays_and_products_print_without_building_series(capsys, no_series):
+    # A named array expands by its rule and inverts to its partner's closed
+    # form, and a product multiplies its factors' matrices: none of them
+    # needs the series.
     digest = hashlib.sha256()
     for argv in series_free_commands():
         code, out, err = run_cli(capsys, *argv)
@@ -575,3 +581,26 @@ def test_named_arrays_and_products_print_without_building_series(capsys, monkeyp
     rows = riordan.l_central(3, 40).multiply(riordan.binomial(40)).to_matrix(40)
     digest.update(repr(rows).encode())
     assert digest.hexdigest() == SERIES_FREE_DIGEST
+
+
+def test_named_arrays_and_products_act_without_building_series(no_series):
+    # Acting on terms is the matrix-vector product of the stored rows.
+    order = 40
+    arrays = [riordan.binomial_power(-2, order)]
+    for r in (1, 3):
+        for build in (riordan.l_central, riordan.l_catalan, production.a_p,
+                      riordan.coefficient_array):
+            arr = build(r, order)
+            arrays += [arr, arr.multiply(riordan.binomial(order))]
+            # a_p's partner is a plain rational array, which acts by series.
+            if build is not production.a_p:
+                arrays.append(arr.inverse())
+        arrays.append(riordan.l_catalan(r, order).multiply(riordan.l_central(r, order).inverse()))
+    unit = [1] + [0] * order  # one term more than the order
+    for arr in arrays:
+        assert arr.apply(unit) == [row[0] for row in arr.to_matrix(order)]
+    catalan = riordan.l_catalan(3, order).apply(unit)
+    assert catalan == sequences.family_terms("catalan", order, 3)
+    powers = riordan.binomial(order).apply([Fraction(1, 2)] * order)
+    assert powers == [Fraction(2**n, 2) for n in range(order)]
+    assert all(type(v) is Fraction for v in catalan + powers)

@@ -6,9 +6,10 @@ inverse-times-shift product and the Fraction forward substitution, the
 integer matrix product against the Fraction triple loop, the
 leading minors of one Bareiss pass against one determinant per block, on
 random, singular and too-short inputs, and the named Riordan arrays'
-production rules and closed-form inverses, and the products' matrix
-products of their factors, against the series expansion and the Lagrange
-inverse of the same (d, h).
+production rules and closed-form inverses, the products' matrix
+products of their factors, and the actions on sequences by rows, against
+the series expansion, the Lagrange inverse and d * (f o h) of the same
+(d, h).
 Values must be equal, and where a route promises an int for an integral
 entry, so must the entry types; errors must agree in type, message,
 order/index and partial result."""
@@ -819,3 +820,87 @@ def test_lazy_arrays_pickle_before_and_after_their_series_are_read():
             assert repr(copy) == repr(arr), label
             assert repr(copy.to_matrix(order)) == repr(arr.to_matrix(order)), label
             assert copy.inverse() == arr.inverse(), label
+
+
+# ------------------------------------------------ actions on sequences
+
+APPLY_ORDER = 48
+# Orders below APPLY_ORDER at which the series route also runs on the
+# array of that order; at every order the rows route is compared with the
+# APPLY_ORDER result cut short (the first n terms of d * (f o h) depend
+# only on the first n terms of d, f and h).
+APPLY_DIRECT_ORDERS = (2, 3, 5, 8, 13, 21, 30)
+
+
+def acting_arrays(order):
+    """(label, array): the named arrays and their inverses, named x
+    binomial and named x named products, and the bridge's triple product.
+    All but a_p's inverse, a plain rational array, have stored rows."""
+    for label, arr in named_arrays(order):
+        yield label, arr
+        yield f"{label}-inverse", arr.inverse()
+    b = riordan.binomial(order)
+    for name, build in NAMED_BUILDS.items():
+        yield f"{name}-r3*binomial", build(3, order).multiply(b)
+    yield "catalan-r2*central-r3-inverse", riordan.l_catalan(2, order).multiply(
+        riordan.l_central(3, order).inverse())
+    yield "ap-r2*coefficient-r3", production.a_p(2, order).multiply(
+        riordan.coefficient_array(3, order))
+    for r in (1, 3):
+        yield f"bridge-r{r}", bridge_product(r, order)
+
+
+def apply_sequences():
+    """(label, terms): one more term than APPLY_ORDER, so every order gets a
+    sequence longer than itself; all ints, and ints, Fractions and floats
+    mixed."""
+    rng = random.Random(2301)
+    ints = [rng.randint(-9, 9) for _ in range(APPLY_ORDER + 1)]
+    mixed = [
+        rng.choice((
+            rng.randint(-9, 9),
+            Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+            rng.randint(-40, 40) / 8,
+        ))
+        for _ in range(APPLY_ORDER + 1)
+    ]
+    return [("int", ints), ("mixed", mixed)]
+
+
+def apply_outcome(arr, terms):
+    try:
+        return repr(arr.apply(terms))
+    except InsufficientOrder as exc:
+        return type(exc), str(exc)
+
+
+def test_actions_by_rows_match_the_series_route():
+    # Values and types: the rows route hands out Fractions, as the series
+    # route does, and reads a float as the exact value Fraction gives it.
+    seqs = apply_sequences()
+    assert {type(v) for _, terms in seqs for v in terms} == {int, Fraction, float}
+    oracle = {
+        (label, kind): plain(arr).apply(terms)
+        for label, arr in acting_arrays(APPLY_ORDER)
+        for kind, terms in seqs
+    }
+    for order in range(2, APPLY_ORDER + 1):
+        direct = order in APPLY_DIRECT_ORDERS
+        for label, arr in acting_arrays(order):
+            # a_p's partner is a plain rational array: both sides are series.
+            if label.startswith("ap-") and label.endswith("-inverse"):
+                assert arr._rows is None, label
+                if not direct:
+                    continue
+            else:
+                assert arr._rows is not None, label
+            for kind, terms in seqs:
+                got = repr(arr.apply(terms))
+                assert got == repr(oracle[label, kind][:order]), (label, kind, order)
+                if direct:
+                    twin = plain(arr)
+                    assert got == repr(twin.apply(terms)), (label, kind, order)
+                    short = terms[: order - 1]
+                    assert apply_outcome(arr, short) == apply_outcome(twin, short), (
+                        label, kind, order
+                    )

@@ -67,6 +67,7 @@ def test_bridge_without_padding(r):
         riordan.l_catalan,
         production.a_p,
         riordan.coefficient_array,
+        riordan.binomial_power,
         production.stieltjes_bridge,
     ],
 )
@@ -77,6 +78,8 @@ def test_errors_at_small_orders_and_bad_r(build):
         with pytest.raises(kind) as info:
             build(2, order)
         assert (type(info.value), str(info.value)) == (kind, message)
+    if build is riordan.binomial_power:
+        return  # every integer k gives a power of the binomial array
     for r in (0, -1):
         for order in (0, 1, 5):
             with pytest.raises(UnsupportedParameter, match="^r must be at least 1$"):

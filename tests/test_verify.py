@@ -97,10 +97,13 @@ def test_a_wrong_production_rule_fails_the_independent_checks(monkeypatch):
     report = verify.run_checks(["all"], 4, 8)
     failed = {res.id for res in report.checks if res.status == "fail"}
     # The rule's matrix against the LDL factor of the Hankel matrix, the
-    # family's own terms, a literal display table and the Stieltjes bridge,
-    # which compares its product's matrix with the Catalan array's.
+    # family's own terms, a literal display table, the action d * (f o h) of
+    # the series, and the Stieltjes bridge, which compares its product's
+    # matrix with the Catalan array's.
     bridges = {f"stieltjes-bridge-r{r}" for r in range(1, 5)}
+    actions = {f"riordan-fundamental-catalan-r{r}" for r in range(1, 5)}
     assert {"ldl-lfactor-catalan-r1", "l-catalan-col0-r2", "riordan-catalan-r3"} <= failed
+    assert actions <= failed
     assert bridges <= failed
     assert all("catalan" in check for check in failed - bridges), failed
 
