@@ -210,8 +210,10 @@ def cmd_production(args) -> int:
     params = {"r": str(args.r), "size": str(args.size)}
     header = ("n", "k", "value")
     if args.action == "matrix":
+        # Every --array choice expands by a Z/A rule (riordan._rule_rows),
+        # whose P is read off the rule.
         source = NAMED_ARRAYS[args.array](args.r, args.size + 1)
-        rows = production_mod.production_matrix(source.to_matrix(args.size + 1))
+        rows = riordan.rule_matrix(*source._rows[1], args.size)
         params["array"] = args.array
         header = ("i", "j", "value")
     elif args.action == "array":

@@ -107,20 +107,13 @@ def matrix_from_production(p, dim: int):
 
 
 def p_catalan(r: int, dim: int):
-    """The structured production matrix of the Catalan-family array:
-    row 0 is (0, r, 0, ...); row i >= 1 has ones in columns 1..i and r in
-    column i+1."""
+    """The structured production matrix of the Catalan-family array, the
+    P of ``a_p``'s rule Z = (0), A = (r, 1, 1, ...): row 0 is
+    (0, r, 0, ...); row i >= 1 has ones in columns 1..i and r in column
+    i+1."""
     if r < 1:
         raise UnsupportedParameter("r must be at least 1")
-    m = [[0] * dim for _ in range(dim)]
-    if dim > 1:
-        m[0][1] = r
-    for i in range(1, dim):
-        for j in range(1, i + 1):
-            m[i][j] = 1
-        if i + 1 < dim:
-            m[i][i + 1] = r
-    return m
+    return riordan.rule_matrix((0,), (r,), 1, dim)
 
 
 def stieltjes_bridge(r: int, order: int):

@@ -17,21 +17,30 @@ is the first dim rows of the matrix, which ``to_matrix`` hands out, and
 A-sequence with a constant tail (Merlini, Rogers, Sprugnoli & Verri,
 1997); ``_jacobi_inverse_rows``, the three-term
 recurrence of the orthogonal polynomials whose coefficients are the rows
-of the inverse of a J-matrix rule (Peart & Woan, 2000); or
-``_product_rows``, the product of two factors' blocks.  The first two
+of the inverse of a J-matrix rule (Peart & Woan, 2000);
+``_binomial_product_rows``, a rule's array times ``binomial_power(k)``,
+whose A-sequence is the rule's shifted to (1+ky) A(y/(1+ky)); or
+``_product_rows``, the product of two factors' blocks.  All but the last
 take O(n^2) int steps.  ``_inverse = (build, parameter)``:
 build(parameter, order) is the group inverse in closed form.  An array
 built as ``RiordanArray(d, h)`` has none of these: it expands column by
 column as d * h^k, acts as d * (f o h) and inverts by Lagrange reversion,
 the routes that stay as the oracles of the fast ones.
 
-``to_matrix`` hands out ragged rows whose entries are ints where the
+The row store keeps, for each route ``_rows`` whose arguments are plain
+data (every one but ``_product_rows``, whose arguments are arrays), the
+longest block of rows expanded for it, so that any order of the same rule
+reads one block.  It is bounded by the number of entries it holds
+(``ROW_STORE_ENTRIES``) and drops the least recently used rule first.
+
+``to_matrix`` hands out fresh ragged rows whose entries are ints where the
 value is an integer and Fractions otherwise, as ``linalg.mat_mul`` and
 ``production.production_matrix`` do.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -89,8 +98,9 @@ class RiordanArray:
 
     def __hash__(self):
         # Equality compares only the common prefix, so two equal arrays of
-        # different orders share nothing beyond d[0] (h[0] is always 0).
-        return hash(self.d[0])
+        # different orders share nothing beyond d[0] (h[0] is always 0),
+        # which is entry (0, 0) of the matrix and needs no series.
+        return hash(self.to_matrix(1)[0][0])
 
     def __repr__(self):
         return f"RiordanArray(d={self.d!r}, h={self.h!r})"
@@ -98,17 +108,17 @@ class RiordanArray:
     def to_matrix(self, dim: int):
         """Leading dim x dim block as ragged lower-triangular rows; an entry
         is an int where its value is an integer and a Fraction otherwise.
-        An array with stored rows (``_rows``) runs them and reads no series.
-        Otherwise column k is d * h^k = x^k d (h/x)^k, so only the first
-        dim - k terms of d (h/x)^k are expanded: one truncated series
-        product per column, O(dim^3), read off its (num, den)."""
+        An array with stored rows (``_rows``) hands out a copy of its block
+        (``_block``) and reads no series.  Otherwise column k is
+        d * h^k = x^k d (h/x)^k, so only the first dim - k terms of
+        d (h/x)^k are expanded: one truncated series product per column,
+        O(dim^3), read off its (num, den)."""
         if dim > self.order:
             raise InsufficientOrder(
                 f"array of order {self.order} cannot fill a {dim} x {dim} block"
             )
         if self._rows is not None:
-            expand, args = self._rows
-            return expand(*args, dim)
+            return [row[:] for row in _block(self._rows, dim)]
         rows = [[] for _ in range(dim)]
         col = self.d.truncate(dim)
         h = self.h.truncate(dim).div_x(1)
@@ -122,12 +132,22 @@ class RiordanArray:
 
     def multiply(self, other: "RiordanArray") -> "RiordanArray":
         """Group product: (d1, h1)(d2, h2) = (d1 * (d2 o h1), h2 o h1), of
-        the lesser order of the two.  Its matrix is the product of the two
-        matrices (``_product_rows``); the series are composed on first
-        read."""
+        the lesser order of the two.  A rule's array times
+        ``binomial_power(k)`` expands by the shifted rule
+        (``_binomial_product_rows``); any other product's matrix is the
+        product of the two matrices (``_product_rows``).  The series are
+        composed on first read."""
         pair = (self, other)
         order = min(self.order, other.order)
-        return _named(_product_series, pair, order, (_product_rows, pair), None)
+        rows = (_product_rows, pair)
+        if (
+            self._rows is not None
+            and self._rows[0] is _rule_rows
+            and other._inverse is not None
+            and other._inverse[0] is binomial_power
+        ):
+            rows = (_binomial_product_rows, (self._rows[1], -other._inverse[1]))
+        return _named(_product_series, pair, order, rows, None)
 
     __mul__ = multiply
 
@@ -170,7 +190,7 @@ class RiordanArray:
                 nums, den = series._integer_row(list(seq)[: self.order])
                 return [
                     Fraction(sum(map(mul, row, nums)), den)
-                    for row in self.to_matrix(self.order)
+                    for row in _block(self._rows, self.order)
                 ]
             f = series.poly(seq, self.order)
         g = self.d * f.compose(self.h)
@@ -204,11 +224,62 @@ def _product_series(left: RiordanArray, right: RiordanArray):
     return left.d * right.d.compose(left.h), right.h.compose(left.h)
 
 
+# The most entries the row store holds; a larger block is handed out but
+# not stored.
+ROW_STORE_ENTRIES = 1 << 16
+# Route data ``(expand, args)`` -> the longest block of rows expanded for
+# it, least recently used first, and the number of entries held.
+_row_store = OrderedDict()
+_row_store_entries = 0
+
+
+def clear_row_store():
+    """Drop every block the row store holds."""
+    global _row_store_entries
+    _row_store.clear()
+    _row_store_entries = 0
+
+
+def _block(rows, dim):
+    """The first dim rows of the route ``rows = (expand, args)``.  They are
+    shared with the row store, not copied: read them, never change them.
+    A stored block of at least dim rows is cut to dim; a shorter one, or
+    none, is expanded again at dim and replaces it.  ``_product_rows``,
+    whose arguments are arrays, is expanded and never stored."""
+    global _row_store_entries
+    expand, args = rows
+    if expand is _product_rows:
+        return expand(*args, dim)
+    block = _row_store.get(rows)
+    if block is not None and len(block) >= dim:
+        _row_store.move_to_end(rows)
+        return block if len(block) == dim else block[:dim]
+    block = expand(*args, dim)
+    entries = _entries(block)
+    if entries <= ROW_STORE_ENTRIES:
+        old = _row_store.pop(rows, None)
+        if old is not None:
+            _row_store_entries -= _entries(old)
+        while _row_store_entries + entries > ROW_STORE_ENTRIES:
+            _row_store_entries -= _entries(_row_store.popitem(last=False)[1])
+        _row_store[rows] = block
+        _row_store_entries += entries
+    return block
+
+
+def _entries(block):
+    """The entries of a block of ragged lower-triangular rows."""
+    return len(block) * (len(block) + 1) // 2
+
+
 def _product_rows(left: RiordanArray, right: RiordanArray, dim):
     """The first dim rows of ``left.multiply(right)``: the product of the
     factors' blocks (``linalg.mat_mul``, O(dim^3) with the zeros above the
     diagonals skipped), cut back to ragged rows."""
-    a, b = (pad_square(f.to_matrix(dim)) for f in (left, right))
+    a, b = (
+        pad_square(_block(f._rows, dim) if f._rows is not None else f.to_matrix(dim))
+        for f in (left, right)
+    )
     return [row[: n + 1] for n, row in enumerate(mat_mul(a, b))]
 
 
@@ -220,31 +291,78 @@ def _rule_rows(z, a, tail, dim):
         row_(n+1)[0]   = sum_j z_j row_n[j]
         row_(n+1)[k+1] = sum_j a_j row_n[k+j] + tail * sum_(i >= k+len(a)) row_n[i]
 
-    The A part of a row is one comprehension over len(a) shifted views of
-    the row before (``_a_step``), the tail one running suffix sum.  Each
-    row costs O(n (len(a) + len(z))) int steps."""
+    The A part of a row is ``_a_step``.  Each row costs
+    O(n (len(a) + len(z))) int steps."""
+    return _expand(lambda row, n: sum(map(mul, z, row)), _a_step(a, tail), dim)
+
+
+def _binomial_product_rows(rule, k, dim):
+    """The first dim rows, as ints, of L * binomial_power(k), with L the
+    array of ``_rule_rows(*rule, dim)``.  The product is
+    (d / (1-kh), h / (1-kh)): row n starts with sum_j L[n][j] k^j, read
+    off L's rows in the row store, and its A-sequence is
+    (1+ky) A(y/(1+ky)) (``_binomial_shift``).  O(dim^2) int steps."""
+    _, a, tail = rule
+    left = _block((_rule_rows, rule), dim)
+    powers = [k**j for j in range(dim)]
+    step = _a_step(*_binomial_shift(a, tail, k))
+    return _expand(lambda row, n: sum(map(mul, left[n], powers)), step, dim)
+
+
+def _binomial_shift(a, tail, k):
+    """The A-sequence (1+ky) A(y/(1+ky)) of L * binomial_power(k), given L's
+    as a followed by tail, tail, ... (a of at most three terms, and no tail
+    when it has three).  Write A as a_0 + a_1 y + c y^2 / (1 - rho y); then
+    the shifted A is a_0 + (a_0 k + a_1) y + c y^2 / (1 - (rho - k) y).
+    Returned as ``_a_step``'s (head, tail, ratio), with the tail folded
+    into the head where it is one term long."""
+    a0, a1, c = (*a, tail, tail)[:3]
+    ratio = (0 if len(a) == 3 else 1) - k
+    head = (a0, a0 * k + a1)
+    if not c:
+        return head, 0, 1
+    if not ratio:
+        return head + (c,), 0, 1
+    return head, c, ratio
+
+
+def _expand(column0, step, dim):
+    """The first dim rows of the array with d(0) = 1 whose row n is
+    column0(row n-1, n) followed by step(row n-1)."""
     if dim < 1:
         return []
-    step = _a_step(a)
-    m = len(a)
     row = [1]
     rows = [row]
     for n in range(1, dim):
-        nxt = step(row)
-        if tail:
-            s = 0
-            for k in range(n - 1 - m, -1, -1):
-                s += row[k + m]
-                nxt[k] += tail * s
-        row = [sum(map(mul, z, row))] + nxt
+        row = [column0(row, n)] + step(row)
         rows.append(row)
     return rows
 
 
-def _a_step(a):
-    """row -> [sum_j a_j row[k+j] for k < len(row)], zero past the end of
-    the row, for an A-sequence of one, two or three terms: one pass over as
-    many shifted views of the row as there are terms."""
+def _a_step(a, tail=0, ratio=1):
+    """row -> [sum_j A_j row[k+j] for k < len(row)], zero past the end of
+    the row, for the A-sequence a (one, two or three terms) followed by
+    tail, tail * ratio, tail * ratio^2, ...  The head is one pass over as
+    many shifted views of the row as a has terms; the tail adds
+    tail * s_k, with the suffix sum s_k = ratio * s_(k+1) + row[k+len(a)]."""
+    head = _head_step(a)
+    if not tail:
+        return head
+    m = len(a)
+
+    def step(row):
+        nxt = head(row)
+        s = 0
+        for k in range(len(row) - 1 - m, -1, -1):
+            s = ratio * s + row[k + m]
+            nxt[k] += tail * s
+        return nxt
+
+    return step
+
+
+def _head_step(a):
+    """``_a_step`` of an A-sequence with no tail."""
     if len(a) == 1:
         (a0,) = a
         return lambda row: [a0 * u for u in row]
@@ -256,6 +374,16 @@ def _a_step(a):
         a0 * u + a1 * v + a2 * w
         for u, v, w in zip(row, row[1:] + [0], row[2:] + [0, 0])
     ]
+
+
+def rule_matrix(z, a, tail, dim, ratio=1):
+    """The dim x dim production matrix of a Z/A rule, A being a followed by
+    tail, tail * ratio, tail * ratio^2, ...: P[i][0] = Z_i and
+    P[i][j] = A_(i-j+1) for j >= 1, zero where i - j + 1 < 0 (Deutsch,
+    Ferrari & Rinaldi, 2005).  Entries are ints."""
+    zs = list(z[:dim]) + [0] * (dim - len(z))
+    big_a = list(a[:dim]) + [tail * ratio**i for i in range(dim - len(a))]
+    return [([zs[i]] + big_a[i::-1] + [0] * dim)[:dim] for i in range(dim)]
 
 
 def _jacobi_inverse_rows(z, a, dim):

@@ -558,8 +558,9 @@ def series_free_commands():
 @pytest.fixture
 def no_series(monkeypatch):
     """Make the square root, the products, the divisions and the
-    compositions behind (d, h) raise, and clear the named arrays' caches:
-    an array cached with its series already read would hide a read."""
+    compositions behind (d, h) raise, and clear the named arrays' caches
+    and the row store: an array cached with its series already read, or
+    rows stored by an earlier route, would hide a read."""
     def forbidden(*args, **kwargs):
         raise AssertionError("a series (d, h) was built")
 
@@ -568,12 +569,13 @@ def no_series(monkeypatch):
     monkeypatch.setattr(series, "rational", forbidden)
     for build in (riordan.l_central, riordan.l_catalan, production.a_p):
         build.cache_clear()
+    riordan.clear_row_store()
 
 
 def test_named_arrays_and_products_print_without_building_series(capsys, no_series):
     # A named array expands by its rule and inverts to its partner's closed
-    # form, and a product multiplies its factors' matrices: none of them
-    # needs the series.
+    # form, and a product expands by its shifted rule or multiplies its
+    # factors' matrices: none of them needs the series.
     digest = hashlib.sha256()
     for argv in series_free_commands():
         code, out, err = run_cli(capsys, *argv)
@@ -599,6 +601,8 @@ def test_named_arrays_and_products_act_without_building_series(no_series):
     unit = [1] + [0] * order  # one term more than the order
     for arr in arrays:
         assert arr.apply(unit) == [row[0] for row in arr.to_matrix(order)]
+        # Hashing reads entry (0, 0), d(0), off the rows.
+        assert hash(arr) == hash(1)
     catalan = riordan.l_catalan(3, order).apply(unit)
     assert catalan == sequences.family_terms("catalan", order, 3)
     powers = riordan.binomial(order).apply([Fraction(1, 2)] * order)

@@ -7,8 +7,9 @@ integer matrix product against the Fraction triple loop, the
 leading minors of one Bareiss pass against one determinant per block, on
 random, singular and too-short inputs, and the named Riordan arrays'
 production rules and closed-form inverses, the products' matrix
-products of their factors, and the actions on sequences by rows, against
-the series expansion, the Lagrange inverse and d * (f o h) of the same
+products of their factors, the binomial products' shifted rules against
+the matrix product, and the actions on sequences by rows, against the
+series expansion, the Lagrange inverse and d * (f o h) of the same
 (d, h).
 Values must be equal, and where a route promises an int for an integral
 entry, so must the entry types; errors must agree in type, message,
@@ -16,6 +17,7 @@ order/index and partial result."""
 
 from __future__ import annotations
 
+import functools
 import pickle
 import random
 from fractions import Fraction
@@ -785,6 +787,75 @@ def test_products_of_unequal_orders_take_the_lesser():
             product = a.multiply(b)
             assert product.order == plain(product).order == low
             assert repr(product.to_matrix(low)) == repr(plain(product).to_matrix(low))
+
+
+BINOMIAL_ORDER = 48
+# The series route composes in O(n^3) Fraction steps: it runs at this
+# order, and the matrix product at BINOMIAL_ORDER.
+BINOMIAL_SERIES_ORDER = 24
+BINOMIAL_POWERS = range(-4, 5)
+
+
+def rule_builds():
+    """(label, order -> array): the named arrays that expand by a Z/A rule,
+    catalan, central and ap at r = 1, 2, 3, 5, 8 and binomial_power(j) at
+    j = -4..4."""
+    for name in ("catalan", "central", "ap"):
+        for r in (1, 2, 3, 5, 8):
+            yield f"{name}-r{r}", functools.partial(NAMED_BUILDS[name], r)
+    for j in BINOMIAL_POWERS:
+        yield f"binomial_power-k{j}", functools.partial(riordan.binomial_power, j)
+
+
+def test_binomial_products_expand_by_the_shifted_rule():
+    # A rule's array times binomial_power(k) takes the shifted rule; its
+    # rows must be those of the factors' matrix product and of the
+    # product's own series, entry types too.  The first n rows of a product
+    # depend only on the first n terms of its factors, so one oracle of
+    # each kind serves every order up to its own.
+    for label, build in rule_builds():
+        named = build(BINOMIAL_ORDER)
+        assert named._rows[0] is riordan._rule_rows, label
+        for k in BINOMIAL_POWERS:
+            power = riordan.binomial_power(k, BINOMIAL_ORDER)
+            assert named.multiply(power)._rows[0] is riordan._binomial_product_rows, (
+                label, k
+            )
+            want = riordan._product_rows(named, power, BINOMIAL_ORDER)
+            n = BINOMIAL_SERIES_ORDER
+            by_series = plain(build(n).multiply(riordan.binomial_power(k, n))).to_matrix(n)
+            assert repr(by_series) == repr(want[:n]), (label, k)
+            # Every entry is an integer, so an int; from order 2 up, each
+            # order expands afresh past the one before.
+            assert all(type(v) is int for row in want for v in row), (label, k)
+            for order in range(2, BINOMIAL_ORDER + 1):
+                got = build(order).multiply(riordan.binomial_power(k, order))
+                got = got.to_matrix(order)
+                assert got == want[:order], (label, k, order)
+                assert all(type(v) is int for row in got for v in row), (label, k, order)
+            riordan.clear_row_store()
+
+
+def test_other_products_keep_the_matrix_product():
+    # Only a rule's array times binomial_power(k) has a shifted rule: the
+    # J-matrix partners, products of products, named x named and plain
+    # arrays keep the product of the factors' blocks.
+    order = 12
+    b = riordan.binomial(order)
+    catalan = riordan.l_catalan(3, order)
+    products = {
+        "coefficient*binomial": riordan.coefficient_array(3, order).multiply(b),
+        "central-inverse*binomial": riordan.l_central(3, order).inverse().multiply(b),
+        "(catalan*binomial)*binomial": catalan.multiply(b).multiply(b),
+        "binomial*(catalan*binomial)": b.multiply(catalan.multiply(b)),
+        "catalan*central": catalan.multiply(riordan.l_central(3, order)),
+        "binomial*catalan": b.multiply(catalan),
+        "plain*binomial": plain(catalan).multiply(b),
+        "catalan*plain-binomial": catalan.multiply(plain(b)),
+    }
+    for label, product in products.items():
+        assert product._rows[0] is riordan._product_rows, label
+        assert repr(product.to_matrix(order)) == repr(plain(product).to_matrix(order)), label
 
 
 def lazy_arrays(order):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from functools import partial
 from math import comb
 
 import pytest
@@ -61,6 +62,39 @@ def test_structured_matrix_tables():
     ]
     with pytest.raises(UnsupportedParameter):
         production.p_catalan(0, 4)
+
+
+def test_rule_matrix_is_the_extracted_production_matrix():
+    # P read off a Z/A rule against P extracted from the rows it expands;
+    # p_catalan is the P of a_p's rule.
+    arrays = [(f"binomial_power-k{k}", partial(riordan.binomial_power, k))
+              for k in range(-3, 4)]
+    for build in (riordan.l_catalan, riordan.l_central, production.a_p):
+        arrays += [(f"{build.__name__}-r{r}", partial(build, r)) for r in (1, 2, 5)]
+    for label, build in arrays:
+        for dim in (1, 2, 7, 24):
+            arr = build(dim + 1)
+            expand, rule = arr._rows
+            assert expand is riordan._rule_rows, label
+            want = production.production_matrix(arr.to_matrix(dim + 1))
+            assert repr(riordan.rule_matrix(*rule, dim)) == repr(want), (label, dim)
+            if label.startswith("a_p"):
+                assert production.p_catalan(rule[1][0], dim) == want, (label, dim)
+
+
+def test_binomial_products_have_the_shifted_a_sequence():
+    # Columns 1.. of P hold the A-sequence alone: for a rule's array times
+    # binomial_power(k) they must be the shifted A, geometric tail and all.
+    dim = 12
+    for build in (riordan.l_catalan, riordan.l_central, production.a_p):
+        for r in (1, 3):
+            _, (_, a, tail) = build(r, dim + 1)._rows
+            for k in range(-3, 4):
+                product = build(r, dim + 1).multiply(riordan.binomial_power(k, dim + 1))
+                p = production.production_matrix(product.to_matrix(dim + 1))
+                head, tail_k, ratio = riordan._binomial_shift(a, tail, k)
+                q = riordan.rule_matrix((), head, tail_k, dim, ratio=ratio)
+                assert [row[1:] for row in p] == [row[1:] for row in q], (build, r, k)
 
 
 def test_generated_array_tables():

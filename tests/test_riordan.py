@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import random
 from math import comb
 
@@ -204,3 +205,91 @@ def test_array_determinants_are_one():
     # Unit lower-triangular: every leading minor is 1.
     rows = linalg.pad_square(riordan.l_central(3, 5).to_matrix(5))
     assert det_cofactor(rows) == 1
+
+
+# ------------------------------------------------------------ row store
+
+
+def stored_arrays(order):
+    """(label, array) of each kind of stored rows: a Z/A rule, a
+    J-matrix partner, a binomial product and its rule's array, and a
+    product of blocks, which reads its factors' stored rows."""
+    catalan = riordan.l_catalan(3, order)
+    b = riordan.binomial(order)
+    return [
+        ("catalan", catalan),
+        ("coefficient", riordan.coefficient_array(2, order)),
+        ("central*binomial", riordan.l_central(2, order).multiply(b)),
+        ("central", riordan.l_central(2, order)),
+        ("catalan*coefficient", catalan.multiply(riordan.coefficient_array(2, order))),
+    ]
+
+
+def fresh_rows(arr, dim):
+    riordan.clear_row_store()
+    return arr.to_matrix(dim)
+
+
+def test_rows_handed_out_are_copies():
+    for label, arr in stored_arrays(12):
+        rows = arr.to_matrix(12)
+        want = [row[:] for row in rows]
+        rows[3][1] = 0
+        rows[5].append(7)
+        assert arr.to_matrix(12) == want, label
+        assert arr.to_matrix(6) == want[:6], label
+
+
+def test_any_order_after_any_other_reads_a_fresh_expansion():
+    order = 30
+    fresh = {label: fresh_rows(arr, order) for label, arr in stored_arrays(order)}
+    for first, second in ((30, 9), (9, 30), (1, 30), (30, 0)):
+        riordan.clear_row_store()
+        for label, arr in stored_arrays(order):
+            arr.to_matrix(first)
+            rows = arr.to_matrix(second)
+            assert repr(rows) == repr(fresh[label][:second]), (label, first, second)
+            unit = [1] + [0] * (order - 1)
+            assert arr.apply(unit) == [row[0] for row in fresh[label]], label
+
+
+def test_a_tiny_store_evicts_and_stays_exact(monkeypatch):
+    order = 20
+    fresh = {label: fresh_rows(arr, order) for label, arr in stored_arrays(order)}
+    # Room for one block of 20 rows (210 entries) at a time, and for none
+    # of 30 rows (465 entries): that one is handed out but not stored.
+    monkeypatch.setattr(riordan, "ROW_STORE_ENTRIES", 300)
+    riordan.clear_row_store()
+    for _ in range(2):
+        for label, arr in stored_arrays(order):
+            for dim in (order, 5, order):
+                rows = arr.to_matrix(dim)
+                assert repr(rows) == repr(fresh[label][:dim]), (label, dim)
+                assert riordan._row_store_entries <= 300, label
+                assert riordan._row_store_entries == sum(
+                    map(riordan._entries, riordan._row_store.values())
+                ), label
+    big = riordan.l_catalan(3, 30)
+    held = list(riordan._row_store)
+    assert big.to_matrix(30) == riordan.RiordanArray(big.d, big.h).to_matrix(30)
+    assert list(riordan._row_store) == held
+
+
+def test_stored_rows_are_keyed_by_their_rule():
+    # An array given another rule, as verify's planted-rule test does,
+    # expands its own rule although the true rule's rows are stored.
+    true = riordan.l_catalan(2, 10)
+    true.to_matrix(10)
+    wrong = riordan.l_catalan.__wrapped__(2, 10)
+    wrong._rows = (riordan._rule_rows, ((2, 2), (1, 3, 3), 0))
+    assert wrong.to_matrix(10) == riordan._rule_rows((2, 2), (1, 3, 3), 0, 10)
+    assert wrong.to_matrix(10) != true.to_matrix(10)
+
+
+def test_arrays_pickle_without_their_stored_rows():
+    for label, arr in stored_arrays(12):
+        rows = arr.to_matrix(12)
+        copy = pickle.loads(pickle.dumps(arr))
+        riordan.clear_row_store()
+        assert copy.to_matrix(12) == rows, label
+        assert copy == arr and hash(copy) == hash(arr), label
