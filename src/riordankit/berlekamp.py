@@ -21,7 +21,7 @@ from . import riordan, sequences, series
 from .errors import CrossCheckFailed, InsufficientTerms, SingularSystem
 from .hankel import _chebyshev, hankel_matrix
 from .linalg import solve
-from .series import _normal
+from .series import _normal, _ratio
 
 
 def _window_terms(a, d: int):
@@ -62,19 +62,6 @@ def _orthogonal_polys(steps):
     return polys
 
 
-def _entries(num, den, sign):
-    """sign * num / den entrywise: the ints themselves where den is 1, and
-    otherwise one Fraction per entry, unwrapped to an int where it
-    reduces to one."""
-    if den == 1:
-        return list(num) if sign == 1 else [-c for c in num]
-    out = []
-    for c in num:
-        f = Fraction(sign * c, den)
-        out.append(f.numerator if f.denominator == 1 else f)
-    return out
-
-
 def bm_triangle(a, count: int):
     """Rows of solutions for window sizes 1..count.
 
@@ -92,7 +79,8 @@ def bm_triangle(a, count: int):
     windows = min(count, len(a) // 2)
     _, steps = _chebyshev(a[: 2 * windows], stop_at_zero=True)
     solved = next((j for j, (q, *_) in enumerate(steps) if len(q) > 2), len(steps))
-    rows = [_entries(pi[:-1], den, -1) for pi, den in _orthogonal_polys(steps[:solved])]
+    polys = _orthogonal_polys(steps[:solved])
+    rows = [[_ratio(-c, den) for c in pi[:-1]] for pi, den in polys]
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)
     if windows < count:
@@ -112,7 +100,8 @@ def char_poly(a, d: int):
     polys = _orthogonal_polys(_chebyshev(a[: 2 * d])[1])
     if not polys or len(polys[-1][0]) != d + 1:
         raise SingularSystem(d)
-    return _entries(*polys[-1], 1)
+    pi, den = polys[-1]
+    return [_ratio(c, den) for c in pi]
 
 
 def companion_check(a, d: int):

@@ -18,14 +18,15 @@ public as an oracle.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 from operator import mul
 
+from . import riordan
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
 from .linalg import (
     _bareiss_step, _eliminate, as_int, bareiss_det, mat_mul, pad_square, transpose
 )
-from .series import _integer_row
+from .series import _integer_row, _ratio
 
 __all__ = [
     "hankel_matrix",
@@ -183,11 +184,7 @@ def ldl(h) -> LDLDecomp:
     d = [Fraction(num[0], den) for num, den in rows]
     # Column k of L below the diagonal is num_k[1:] / num_k[0].
     cols = [
-        [
-            x // num[0] if x % num[0] == 0 else Fraction(x, num[0])
-            for x in num[1 : n - k]
-        ]
-        for k, (num, _) in enumerate(rows)
+        [_ratio(x, num[0]) for x in num[1 : n - k]] for k, (num, _) in enumerate(rows)
     ]
     l = [[cols[k][i - k - 1] for k in range(i)] + [1] for i in range(n)]
     return LDLDecomp(l=l, d=d)
@@ -207,6 +204,8 @@ def _ldl_dense(h) -> LDLDecomp:
         prev = m[k][k]
     pivots = [row[k] for k, row in enumerate(m)]
     d = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
+    # Not ``series._ratio``, which takes ints: the pivots of a Fraction
+    # matrix are Fractions, and every integral entry of L must be an int.
     l = [[Fraction(v, p) for v, p in zip(row[:i], pivots)] for i, row in enumerate(m)]
     l = [[v.numerator if v.denominator == 1 else v for v in row] + [1] for row in l]
     return LDLDecomp(l=l, d=d)
@@ -337,19 +336,15 @@ def _certify(terms, sigma, n):
 def binomial_transform(a, k: int = 1):
     """Apply the binomial transform k times; negative k applies the inverse.
 
-    One forward step maps a to b_n = sum_j C(n, j) a_j; the inverse step
-    carries the alternating sign (-1)^(n-j).
+    That is the action of ``riordan.binomial_power(k)``, whose entry (n, j)
+    is C(n, j) k^(n-j): one pass over its stored rows, O(n^2).  All int
+    terms give ints, any other exact terms Fractions.
     """
-    out = list(a)
-    for _ in range(abs(k)):
-        if k > 0:
-            out = [
-                sum(comb(n, j) * out[j] for j in range(n + 1))
-                for n in range(len(out))
-            ]
-        else:
-            out = [
-                sum((-1) ** (n - j) * comb(n, j) * out[j] for j in range(n + 1))
-                for n in range(len(out))
-            ]
+    a = list(a)
+    # An array of order 1 cannot be built: h(x) needs h'(0) != 0.
+    if k == 0 or len(a) < 2:
+        return a
+    out = riordan.binomial_power(k, len(a)).apply(a)
+    if all(isinstance(v, int) for v in a):
+        return [v.numerator for v in out]
     return out

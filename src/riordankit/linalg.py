@@ -12,15 +12,18 @@ denominator) layout of ``series`` and FLINT's ``fmpq_mat``: each column
 of B over one denominator, one Fraction at most per output entry.  Its
 entries are ints where the value is an integer (zeros included) and
 Fractions otherwise, whatever the entry types of A and B, as for
-``hankel.ldl``'s unit factor and ``production.production_matrix``.
+``hankel.ldl``'s unit factor and ``production.production_matrix``.  Both
+conversions, into that layout and back to entries, are the ones in
+``series`` (``_integer_row``, ``_ratio``).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 from .errors import IntegralityViolation, SingularDiagonal, SingularSystem
+from .series import _integer_row, _ratio
 
 
 def identity(n: int):
@@ -72,7 +75,7 @@ def _clear_columns(b):
     """B for ``_mul_cleared``: each column as int numerators over its least
     common denominator, kept as the nonzero (column, numerator) pairs of
     each row, the column denominators, and whether all of them are 1."""
-    cols = [_over_one_den(col) for col in zip(*b)]
+    cols = [_integer_row(col) for col in zip(*b)]
     if any(len(row) != len(cols) for row in b):
         raise ValueError("the right factor must be a rectangular matrix")
     nums = [num for num, _ in cols]
@@ -82,16 +85,6 @@ def _clear_columns(b):
     ]
     dens = [den for _, den in cols]
     return rows, dens, all(den == 1 for den in dens)
-
-
-def _over_one_den(values):
-    """int or Fraction values as (int numerators, their least common
-    denominator)."""
-    dens = [v.denominator for v in values]
-    den = lcm(*dens)
-    if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // d) for v, d in zip(values, dens)], den
 
 
 def _mul_cleared(a, cleared):
@@ -139,14 +132,6 @@ def _mul_cleared(a, cleared):
                 for w, t, e, d in zip(whole, acc, acc_dens, dens)
             ])
     return out
-
-
-def _ratio(t, d):
-    """t / d for ints t and d != 0: an int where it divides, else one Fraction."""
-    if d == 1 or not t:
-        return t
-    q, rem = divmod(t, d)
-    return Fraction(t, d) if rem else q
 
 
 def mat_vec(a, v):

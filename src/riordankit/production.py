@@ -14,15 +14,14 @@ row product by P per row (``linalg.row_orbit``).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import islice
 from math import gcd
 
 from . import riordan
 from .errors import CrossCheckFailed, SingularDiagonal, UnsupportedParameter
-from .linalg import _ratio, pad_square, row_orbit
+from .linalg import pad_square, row_orbit
 from .riordan import a_p
-from .series import _integer_row
+from .series import _integer_row, _ratio
 
 
 def production_matrix(a_rows):
@@ -51,7 +50,12 @@ def production_matrix(a_rows):
     for i in range(n):
         if full[i][i] == 0:
             raise SingularDiagonal(f"zero diagonal entry at index {i}")
-    cols = _columns(full, n)
+    # Each of the first n columns as (int numerators, den); no solve reads
+    # row 0 of a column k > 0, so it is held as an int zero.
+    cols = [
+        _integer_row((0,) + col[1:] if k else col)
+        for k, col in enumerate(islice(zip(*full), n))
+    ]
     p = [[0] * n for _ in range(n)]
     for j, (col, den) in enumerate(cols):
         # Row i of S minus the rows of L P eliminated so far is res[i] / den.
@@ -63,8 +67,7 @@ def production_matrix(a_rows):
             lower, li = cols[i]
             c = lower[i]
             # P[i][j] = (t / den) / (c / li).
-            q, rem = divmod(t * li, den * c)
-            p[i][j] = Fraction(t * li, den * c) if rem else q
+            p[i][j] = _ratio(t * li, den * c)
             g = gcd(t, c)
             a, b = c // g, t // g
             if a < 0:
@@ -74,23 +77,6 @@ def production_matrix(a_rows):
                 a * x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])
             ]
     return p
-
-
-def _columns(full, n):
-    """The first n columns of the square block as (int numerators, den):
-    an all-int column as it is over 1, any other over its least common
-    denominator.
-
-    No solve reads row 0 of a column k > 0, so it is held as an int zero.
-    """
-    cols = []
-    for k, col in enumerate(islice(zip(*full), n)):
-        col = (0,) + col[1:] if k else col
-        if all(type(v) is int for v in col):
-            cols.append((list(col), 1))
-        else:
-            cols.append(_integer_row(col))
-    return cols
 
 
 def matrix_from_production(p, dim: int):

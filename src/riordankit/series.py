@@ -9,6 +9,10 @@ denominators explicitly; ``coeffs``, the same coefficients as
 operations truncate to the shorter operand's order and never pad, so a
 result is only as long as both inputs can justify.
 
+Both converters of that layout live here: ``_integer_row`` puts exact
+entries over one denominator, and ``_ratio`` turns an int over an int
+back into an entry, an int where it divides and a Fraction otherwise.
+
 The module also provides a small bivariate expander for rational generating
 functions in x and y, used for triangles read off as ``[x^n y^k]``; its
 y-polynomials use the same layout and kernels.
@@ -32,10 +36,23 @@ _ZERO = Fraction(0)
 
 
 def _integer_row(values):
-    """The values as int numerators over their least common denominator."""
-    terms = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    """The values as int numerators over their least common denominator:
+    all ints as they are over 1, anything but an int or a Fraction read
+    through ``Fraction``."""
+    terms = list(values)
+    if all(type(v) is int for v in terms):
+        return terms, 1
+    terms = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in terms]
     den = lcm(*(v.denominator for v in terms))
     return [v.numerator * (den // v.denominator) for v in terms], den
+
+
+def _ratio(t, d):
+    """t / d for ints t and d != 0: an int where it divides, else one Fraction."""
+    if d == 1 or not t:
+        return t
+    q, rem = divmod(t, d)
+    return Fraction(t, d) if rem else q
 
 
 def _normal(num, den):

@@ -10,7 +10,8 @@ the named Riordan arrays as group inverses of their rational partners
 or rebuilt from their production matrix, the production matrix by a
 forward substitution on Fraction rows, the dense LDL^T by Gaussian
 elimination on Fractions, the certificate's Hankel product H v as a
-plain sum, and the matrix product as the Fraction triple loop.  The
+plain sum, the matrix product as the Fraction triple loop, and the
+binomial transform as sums of binomial coefficients.  The
 library must agree with these on every tested input.
 """
 
@@ -219,10 +220,18 @@ def fraction_bivariate_rows(num, den, order_x):
     return rows
 
 
-def naive_binomial_transform(terms):
-    return [
-        sum(comb(n, k) * terms[k] for k in range(n + 1)) for n in range(len(terms))
-    ]
+def naive_binomial_transform(terms, k=1):
+    """The binomial transform applied |k| times as direct sums,
+    b_n = sum_j C(n, j) a_j, each with the alternating sign (-1)^(n-j) of
+    the inverse step when k < 0."""
+    sign = 1 if k > 0 else -1
+    out = list(terms)
+    for _ in range(abs(k)):
+        out = [
+            sum(sign ** (n - j) * comb(n, j) * out[j] for j in range(n + 1))
+            for n in range(len(out))
+        ]
+    return out
 
 
 def poly_eval(coeffs, t):

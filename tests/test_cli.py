@@ -608,3 +608,89 @@ def test_named_arrays_and_products_act_without_building_series(no_series):
     powers = riordan.binomial(order).apply([Fraction(1, 2)] * order)
     assert powers == [Fraction(2**n, 2) for n in range(order)]
     assert all(type(v) is Fraction for v in catalan + powers)
+
+
+# The CLI grammar: every subcommand at sizes 2..8 (``--size 1`` is the
+# strict xfail above), with each size flag in turn; stdin too short, all
+# zero, or the moments of 2, 3 and 4 points.
+GRAMMAR_SIZES = range(2, 9)
+GRAMMAR_STDIN = ("1 2 3\n", "0 " * 20 + "\n", *(singular_stdin(p) for p in range(3)))
+
+
+def grammar_commands():
+    """(label, size flag, argv without its size, stdin text or None)."""
+    for fam in ("triangle",) + sequences.FAMILY_NAMES:
+        for r in ("1", "2", "5"):
+            for fmt in ("json", "csv"):
+                yield "generate", "--n", ["generate", fam, "--r", r, "--format", fmt], None
+    hankel_actions = {"transform": "--count", "ldl": "--size", "bm": "--rows",
+                      "charpoly": "--size", "production": "--size"}
+    sources = [(["--family", fam, "--r", r], None)
+               for fam in sequences.FAMILY_NAMES for r in ("1", "2", "5")]
+    sources += [([], text) for text in GRAMMAR_STDIN]
+    for action, flag in hankel_actions.items():
+        methods = ("spot", "ldl", "both", "bareiss") if action == "transform" else (None,)
+        for opts, stdin in sources:
+            for method in methods:
+                argv = ["hankel", action, *opts] + (["--method", method] if method else [])
+                yield f"hankel {action}", flag, argv, stdin
+    for array in cli.ARRAY_NAMES:
+        for r in ("1", "2", "5"):
+            for extra in ([], ["--inverse"], ["--format", "csv"], ["--power", "-2"]):
+                yield "riordan", "--size", ["riordan", array, "--r", r, *extra], None
+    for r in ("1", "2", "5"):
+        for array in ("central", "catalan", "ap", "binomial"):
+            for fmt in ("json", "csv"):
+                argv = ["production", "matrix", "--array", array, "--r", r, "--format", fmt]
+                yield "production", "--size", argv, None
+        for action in ("array", "bridge"):
+            yield "production", "--size", ["production", action, "--r", r], None
+        yield "verify", "--n-max", ["verify", "--r-max", r], None
+
+
+def leading_block(small, big):
+    """Whether the output ``small`` is the leading block of ``big``: JSON
+    lists (terms, rows, diagonals) are prefixes, entry by entry, and
+    objects agree key by key but for the echoed parameters; a CSV line
+    keyed by all of its fields but the value appears in ``big`` too."""
+    if isinstance(small, dict):
+        return small.keys() == big.keys() and all(
+            key == "params" or leading_block(small[key], big[key]) for key in small
+        )
+    if isinstance(small, list):
+        return len(small) <= len(big) and all(map(leading_block, small, big))
+    return small == big
+
+
+def csv_entries(out):
+    header, *lines = out.splitlines()
+    return header, {tuple(line.split(",")[:-1]): line for line in lines}
+
+
+def test_cli_grammar_exit_codes_and_leading_blocks(capsys, monkeypatch):
+    """Every run exits 0, 1, 2 or 3 without an exception, and a run that
+    exits 0 at size n prints the leading block of the run at size n + 1.
+    Two outputs are not blocks: ``hankel charpoly``, whose window-n
+    polynomial is not a prefix of window n + 1's, and ``verify``'s report;
+    both are held to the exit codes alone."""
+    runs = compared = 0
+    for label, flag, argv, stdin in grammar_commands():
+        before = None
+        for size in GRAMMAR_SIZES:
+            if stdin is not None:
+                monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+            code, out, _ = run_cli(capsys, *argv, flag, str(size))
+            runs += 1
+            assert code in (0, 1, 2, 3), (argv, size, code)
+            now = out if code == 0 else None
+            if before is not None and now is not None and label not in (
+                "hankel charpoly", "verify"
+            ):
+                if "csv" in argv:
+                    (head, small), (big_head, big) = csv_entries(before), csv_entries(now)
+                    assert head == big_head and small.items() <= big.items(), (argv, size)
+                else:
+                    assert leading_block(json.loads(before), json.loads(now)), (argv, size)
+                compared += 1
+            before = now
+    assert runs > 2000 and compared > 1000, (runs, compared)

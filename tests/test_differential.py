@@ -10,7 +10,8 @@ production rules and closed-form inverses, the products' matrix
 products of their factors, the binomial products' shifted rules against
 the matrix product, and the actions on sequences by rows, against the
 series expansion, the Lagrange inverse and d * (f o h) of the same
-(d, h).
+(d, h), and the binomial transform against its sums of binomial
+coefficients.
 Values must be equal, and where a route promises an int for an integral
 entry, so must the entry types; errors must agree in type, message,
 order/index and partial result."""
@@ -40,6 +41,7 @@ from helpers import (
     fraction_ldl,
     fraction_mat_mul,
     fraction_production_matrix,
+    naive_binomial_transform,
     quadratic_hankel_times,
 )
 
@@ -975,3 +977,17 @@ def test_actions_by_rows_match_the_series_route():
                     assert apply_outcome(arr, short) == apply_outcome(twin, short), (
                         label, kind, order
                     )
+
+
+def test_binomial_transform_matches_the_comb_sums():
+    # verify's Bessel shift takes k = -(r+1), down to -9 on the big grid.
+    rng = random.Random(6187)
+    for length in (0, 1, 2, 3, 33):
+        ints = [rng.randint(-30, 30) for _ in range(length)]
+        fracs = [Fraction(rng.randint(-30, 30), rng.randint(1, 12)) for _ in range(length)]
+        for terms in (ints, fracs):
+            for k in range(-9, 10):
+                got = hankel.binomial_transform(terms, k)
+                want = naive_binomial_transform(terms, k)
+                assert got == want, (length, k)
+                assert list(map(type, got)) == list(map(type, want)), (length, k)
