@@ -338,7 +338,8 @@ def binomial_transform(a, k: int = 1):
 
     That is the action of ``riordan.binomial_power(k)``, whose entry (n, j)
     is C(n, j) k^(n-j): one pass over its stored rows, O(n^2).  All int
-    terms give ints, any other exact terms Fractions.
+    terms give ints, any other terms Fractions, a float read at its exact
+    binary value; k = 0 and fewer than two terms return the terms as given.
     """
     a = list(a)
     # An array of order 1 cannot be built: h(x) needs h'(0) != 0.

@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedParameter,
 )
 from .linalg import mat_mul, pad_square
-from .series import Series
+from .series import Series, _ratio
 
 
 class RiordanArray:
@@ -124,7 +124,7 @@ class RiordanArray:
         h = self.h.truncate(dim).div_x(1)
         for k in range(dim):
             for n, c in enumerate(col.num, k):
-                rows[n].append(series._ratio(c, col.den))
+                rows[n].append(_ratio(c, col.den))
             if k + 1 < dim:
                 col = col.truncate(dim - k - 1) * h
         return rows
@@ -343,9 +343,7 @@ def _a_step(a, tail=0, ratio=1):
     the row, for the A-sequence a (one, two or three terms) followed by
     tail, tail * ratio, tail * ratio^2, ...  The head is one pass over as
     many shifted views of the row as a has terms; the tail adds
-    tail * s_k, with the suffix sum s_k = ratio * s_(k+1) + row[k+len(a)].
-    Every named rule has ratio 1, and takes the plain running sum; only
-    the shifted rules of ``_binomial_shift`` multiply."""
+    tail * s_k, with the suffix sum s_k = ratio * s_(k+1) + row[k+len(a)]."""
     head = _head_step(a)
     if not tail:
         return head
@@ -354,14 +352,9 @@ def _a_step(a, tail=0, ratio=1):
     def step(row):
         nxt = head(row)
         s = 0
-        if ratio == 1:
-            for k in range(len(row) - 1 - m, -1, -1):
-                s += row[k + m]
-                nxt[k] += tail * s
-        else:
-            for k in range(len(row) - 1 - m, -1, -1):
-                s = ratio * s + row[k + m]
-                nxt[k] += tail * s
+        for k in range(len(row) - 1 - m, -1, -1):
+            s = ratio * s + row[k + m]
+            nxt[k] += tail * s
         return nxt
 
     return step

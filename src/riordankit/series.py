@@ -49,10 +49,9 @@ def _integer_row(values):
 
 def _ratio(t, d):
     """t / d for ints t and d != 0: an int where it divides, else one Fraction."""
-    if d == 1 or not t:
+    if d == 1:
         return t
-    q, rem = divmod(t, d)
-    return Fraction(t, d) if rem else q
+    return Fraction(t, d) if t % d else t // d
 
 
 def _normal(num, den):

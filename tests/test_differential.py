@@ -991,3 +991,14 @@ def test_binomial_transform_matches_the_comb_sums():
                 want = naive_binomial_transform(terms, k)
                 assert got == want, (length, k)
                 assert list(map(type, got)) == list(map(type, want)), (length, k)
+        # Float terms are read at their exact binary values and give
+        # Fractions, except where no transform runs (k = 0, under two terms).
+        floats = [rng.randint(-30, 30) / 8 for _ in range(length)]
+        exact = [Fraction(v) for v in floats]
+        for k in range(-9, 10):
+            got = hankel.binomial_transform(floats, k)
+            if k == 0 or length < 2:
+                assert got == floats and all(type(v) is float for v in got), (length, k)
+            else:
+                assert got == naive_binomial_transform(exact, k), (length, k)
+                assert all(type(v) is Fraction for v in got), (length, k)
