@@ -77,9 +77,11 @@ def bm_triangle(a, count: int):
     if count < 0:
         raise ValueError("count must not be negative")
     windows = min(count, len(a) // 2)
+    # The pass stops before the step of a row with leading zeros, so every
+    # step is a J-fraction step and gives one more window.
     _, steps = _chebyshev(a[: 2 * windows], stop_at_zero=True)
-    solved = next((j for j, (q, *_) in enumerate(steps) if len(q) > 2), len(steps))
-    polys = _orthogonal_polys(steps[:solved])
+    solved = len(steps)
+    polys = _orthogonal_polys(steps)
     rows = [[_ratio(-c, den) for c in pi[:-1]] for pi, den in polys]
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)

@@ -325,6 +325,21 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; answers are exact, so their ints are printed and
+    read at any length.  The interpreter's limit on int <-> str conversion
+    (4300 digits by default, where it exists) is lifted for the call and
+    restored after it, so an in-process caller keeps its own setting."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def _run(argv) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

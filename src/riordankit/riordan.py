@@ -15,17 +15,17 @@ is the first dim rows of the matrix, which ``to_matrix`` hands out, and
 ``apply`` to a list of terms multiplies by, without reading the series.
 ``rows`` is ``_rule_rows``, the production rule as a Z-sequence and an
 A-sequence with a constant tail (Merlini, Rogers, Sprugnoli & Verri,
-1997); ``_jacobi_inverse_rows``, the three-term
-recurrence of the orthogonal polynomials whose coefficients are the rows
-of the inverse of a J-matrix rule (Peart & Woan, 2000);
-``_binomial_product_rows``, a rule's array times ``binomial_power(k)``,
-whose A-sequence is the rule's shifted to (1+ky) A(y/(1+ky)); or
-``_product_rows``, the product of two factors' blocks.  All but the last
-take O(n^2) int steps.  ``_inverse = (build, parameter)``:
-build(parameter, order) is the group inverse in closed form.  An array
-built as ``RiordanArray(d, h)`` has none of these: it expands column by
-column as d * h^k, acts as d * (f o h) and inverts by Lagrange reversion,
-the routes that stay as the oracles of the fast ones.
+1997); ``_rational_rows``, the column recurrence of a rational array
+(num/q, x m/q), which is what a rule's inverse is (``_rule_inverse``, He &
+Sprugnoli, 2009); ``_binomial_product_rows``, a rule's array times
+``binomial_power(k)``, whose A-sequence is the rule's shifted to
+(1+ky) A(y/(1+ky)); or ``_product_rows``, the product of two factors'
+blocks.  All but the last take O(n^2) int steps.  ``_inverse = (build,
+parameter)``: build(parameter, order) is the group inverse in closed form,
+``_rule_inverse`` for a rule array and the rule array for its inverse.
+An array built as ``RiordanArray(d, h)`` has none of these: it expands
+column by column as d * h^k, acts as d * (f o h) and inverts by Lagrange
+reversion, the routes that stay as the oracles of the fast ones.
 
 The row store keeps, for each route ``_rows`` whose arguments are plain
 data (every one but ``_product_rows``, whose arguments are arrays), the
@@ -153,13 +153,13 @@ class RiordanArray:
     def inverse(self) -> "RiordanArray":
         """Group inverse (1 / (d o hbar), hbar) with hbar the reversion of h.
 
-        A named array returns its partner's closed form at the same order
-        (``l_catalan`` and ``coefficient_array`` invert to each other,
-        ``binomial_power(k)`` to ``binomial_power(-k)``, ``l_central`` and
-        ``a_p`` to rational arrays), without reading its own series.  Every
-        partner but that of ``a_p``, whose production matrix is dense,
-        expands by a rule in O(n^2) int steps.  Any other array reverts h
-        by Lagrange inversion, O(n^3)."""
+        A named array returns its partner in closed form at the same order,
+        without reading its own series.  ``l_catalan``, ``l_central`` and
+        ``a_p`` return the rational array that ``_rule_inverse`` reads off
+        their rule; it expands by its own recurrence in O(n^2) int steps
+        and inverts back to them.  ``binomial_power(k)`` returns
+        ``binomial_power(-k)``.  Any other array reverts h by Lagrange
+        inversion, O(n^3)."""
         if self._inverse is not None:
             build, param = self._inverse
             return build(param, self.order)
@@ -385,30 +385,6 @@ def rule_matrix(z, a, tail, dim, ratio=1):
     return [([zs[i]] + big_a[i::-1] + [0] * dim)[:dim] for i in range(dim)]
 
 
-def _jacobi_inverse_rows(z, a, dim):
-    """The first dim rows, as ints, of the inverse of the array with d(0) = 1
-    whose production matrix is the J-matrix of Z = (z_0, z_1) and
-    A = (1, a_1, a_2), no tail.  That matrix has alpha_0 = z_0 and
-    alpha_n = a_1 on its diagonal, beta_1 = z_1 and beta_n = a_2 below it,
-    and the rows of the inverse are the monic orthogonal polynomials it
-    defines (Peart & Woan, 2000):
-
-        row_(n+1)[k] = row_n[k-1] - alpha_n row_n[k] - beta_n row_(n-1)[k]
-
-    Each row is one pass over the two rows before, O(n) int steps."""
-    (z0, z1), (_, a1, a2) = z, a
-    prev, row = [], [1]
-    rows = []
-    for n in range(dim):
-        rows.append(row)
-        alpha, beta = (z0, 0) if n == 0 else (a1, z1 if n == 1 else a2)
-        nxt = [
-            s - alpha * v - beta * w for s, v, w in zip([0] + row, row, prev + [0])
-        ] + [1]
-        prev, row = row, nxt
-    return rows
-
-
 def identity(order: int) -> RiordanArray:
     """The identity array (1, x)."""
     return RiordanArray(series.one(order), series.x(order))
@@ -427,22 +403,70 @@ def binomial_power(k: int, order: int) -> RiordanArray:
         raise InsufficientOrder("order must be at least 1")
     return _named(
         _rational_series,
-        ((1,), (1, -k), (0, 1), (1, -k), order),
+        ((1,), (1,), (1, -k), order),
         order,
         (_rule_rows, ((k,), (1, k), 0)),
         (binomial_power, -k),
     )
 
 
-def _rational_series(d_num, d_den, h_num, h_den, order: int):
-    """(d_num / d_den, h_num / h_den), rational functions given by their
-    polynomial coefficients, expanded to order terms."""
-    return series.rational(d_num, d_den, order), series.rational(h_num, h_den, order)
+def _rule_inverse(back, order: int) -> RiordanArray:
+    """The inverse of the array ``build(param, order)``, back = (build,
+    param), read off its rule: an array with d(0) = 1, Z-sequence Z and
+    A-sequence A has the inverse ((A - xZ)/A, x/A) (He & Sprugnoli, 2009).
+    With A = a followed by tail, tail, ..., A = q/m for m = 1 - x if there
+    is a tail and m = 1 if not, and q = a m + tail x^len(a); the inverse is
+    (num/q, x m/q) with num = q - x Z m, and it inverts back to ``back``."""
+    build, param = back
+    z, a, tail = build(param, order)._rows[1]
+    m = (1, -1) if tail else (1,)
+    q = _times(a, m)
+    q[-1] += tail
+    num = q + [0] * (len(z) + len(m) - len(q))
+    for i, v in enumerate(_times(z, m), 1):
+        num[i] -= v
+    poly = (tuple(num), m, tuple(q))
+    return _named(_rational_series, (*poly, order), order, (_rational_rows, poly), back)
+
+
+def _times(p, m):
+    """p * m as a list, for m = 1 or 1 - x."""
+    return [*p] if len(m) == 1 else [u - v for u, v in zip((*p, 0), (0, *p))]
+
+
+def _rational_series(num, m, q, order: int):
+    """(num/q, x m/q), rational functions given by their polynomial
+    coefficients, expanded to order terms."""
+    return series.rational(num, q, order), series.rational((0, *m), q, order)
+
+
+def _rational_rows(num, m, q, dim):
+    """The first dim rows of (num/q, x m/q), for m = 1 or 1 - x and q of at
+    most three terms.  Column 0 is num/q and column k is x m/q times column
+    k-1, so with c = q[0] the ints U(n, k) = c^(n+1) T(n, k) obey
+
+        U(n,k) = U(n-1,k-1) + m_1 c U(n-2,k-1) - q_1 U(n-1,k) - q_2 c U(n-2,k)
+
+    plus num[n] c^n in column 0.  They are handed out through
+    ``series._ratio``, as they are when c = 1.  Each row is one pass over
+    the two rows before it, and one more when m has a second term."""
+    c, q1, q2 = q + (0,) * (3 - len(q))
+    m1, q2 = c * (*m, 0)[1], c * q2
+    prev2, prev, rows = [], [], []
+    for n in range(dim):
+        row = [num[n] * c**n if n < len(num) else 0] + prev
+        if m1:
+            row = [x + m1 * w for x, w in zip(row, [0] + prev2 + [0])]
+        row = [x - q1 * u - q2 * v for x, u, v in zip(row, prev + [0], prev2 + [0, 0])]
+        prev2, prev = prev, row
+        rows.append(row)
+    if c == 1:
+        return rows
+    return [[_ratio(u, c ** (n + 1)) for u in row] for n, row in enumerate(rows)]
 
 
 def _check_central(r: int, order: int):
-    """The parameter checks of the arrays built on ``_central_root`` and
-    of their partners."""
+    """The parameter checks of the arrays built on ``_central_root``."""
     if r < 1:
         raise UnsupportedParameter("r must be at least 1")
     if order < 1:
@@ -472,7 +496,7 @@ def l_central(r: int, order: int) -> RiordanArray:
         (r, order),
         order,
         (_rule_rows, ((r + 1, 2 * r), (1, r + 1, r), 0)),
-        (_central_inverse, r),
+        (_rule_inverse, (l_central, r)),
     )
 
 
@@ -481,31 +505,11 @@ def _central_series(r: int, order: int):
     return 1 / s, h
 
 
-def _central_inverse(r: int, order: int) -> RiordanArray:
-    """((1-rx^2)/q, x/q) with q = 1+(r+1)x+rx^2: the inverse of ``l_central``,
-    expanded by the three-term recurrence of its J-matrix."""
-    q = (1, r + 1, r)
-    return _named(
-        _rational_series,
-        ((1, 0, -r), q, (0, 1), q, order),
-        order,
-        (_jacobi_inverse_rows, ((r + 1, 2 * r), (1, r + 1, r))),
-        None,
-    )
-
-
 def coefficient_array(r: int, order: int) -> RiordanArray:
-    """(1/(1+rx), x/(1+(r+1)x+rx^2)): its rows are the characteristic
-    coefficients of the generalized Catalan family, and its inverse is
-    ``l_catalan``, whose J-matrix gives them by the three-term recurrence."""
-    _check_central(r, order)
-    return _named(
-        _rational_series,
-        ((1,), (1, r), (0, 1), (1, r + 1, r), order),
-        order,
-        (_jacobi_inverse_rows, ((r, r), (1, r + 1, r))),
-        (l_catalan, r),
-    )
+    """(1/(1+rx), x/(1+(r+1)x+rx^2)), the inverse of ``l_catalan``: its
+    rows are the characteristic coefficients of the generalized Catalan
+    family."""
+    return l_catalan(r, order).inverse()
 
 
 @lru_cache(maxsize=None)
@@ -520,7 +524,7 @@ def l_catalan(r: int, order: int) -> RiordanArray:
         (r, order),
         order,
         (_rule_rows, ((r, r), (1, r + 1, r), 0)),
-        (coefficient_array, r),
+        (_rule_inverse, (l_catalan, r)),
     )
 
 
@@ -536,21 +540,13 @@ def a_p(r: int, order: int) -> RiordanArray:
     ``production.p_catalan(r)``, whose rule is Z = (0), A = (r, 1, 1, ...).
     """
     _check_central(r, order)
-    return _named(
-        _ap_series, (r, order), order, (_rule_rows, ((0,), (r,), 1)), (_ap_inverse, r)
-    )
+    rule = (_rule_rows, ((0,), (r,), 1))
+    return _named(_ap_series, (r, order), order, rule, (_rule_inverse, (a_p, r)))
 
 
 def _ap_series(r: int, order: int):
     s, _ = _central_root(r, order)
     return series.one(order), (series.poly([1, r - 1], order) - s) / 2
-
-
-def _ap_inverse(r: int, order: int) -> RiordanArray:
-    """(1, x(1-x)/(r-(r-1)x)): the inverse of ``a_p``."""
-    return RiordanArray(
-        series.one(order), series.rational([0, 1, -1], [r, -(r - 1)], order)
-    )
 
 
 def central_l_entry(n: int, k: int, r: int, method: str = "sumA") -> int:

@@ -98,6 +98,58 @@ def test_hankel_transform_from_stdin(capsys, monkeypatch):
     assert data["params"]["family"] == "stdin"
 
 
+def int_str_limit():
+    """The interpreter's limit on int <-> str conversion, None where there is none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_answers_longer_than_the_int_str_limit(capsys):
+    # H_98 of the Catalan family at r = 8 is the first value past 4300 digits.
+    before = int_str_limit()
+    code, out, err = run_cli(
+        capsys, "hankel", "transform", "--family", "catalan", "--r", "8", "--count", "99"
+    )
+    assert (code, err) == (0, "")
+    assert int_str_limit() == before
+    last = json.loads(out)["result"]["values"][-1]
+    assert len(last) > 4300
+    want = sequences.closed_ht("catalan", 98, 8)
+    if before is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert last == str(want)
+    finally:
+        if before is not None:
+            sys.set_int_max_str_digits(before)
+
+
+def test_stdin_terms_longer_than_the_int_str_limit(capsys, monkeypatch):
+    term = "7" + "0" * 4300
+    monkeypatch.setattr(sys, "stdin", io.StringIO(term + "\n"))
+    before = int_str_limit()
+    code, out, err = run_cli(capsys, "hankel", "transform", "--count", "1")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["result"]["values"] == [term]
+    assert int_str_limit() == before
+
+
+def test_a_block_past_the_row_store_bound(capsys):
+    # Order 362 is the first whose block exceeds the row store's bound: it
+    # is handed out but not stored, and its rows are the stored order-361
+    # rows plus one more.
+    assert 361 * 362 // 2 <= riordan.ROW_STORE_ENTRIES < 362 * 363 // 2
+    riordan.clear_row_store()
+    rows = {}
+    for size in (361, 362):
+        code, out, err = run_cli(capsys, "riordan", "central", "--r", "3", "--size", str(size))
+        assert (code, err) == (0, "")
+        rows[size] = json.loads(out)["rows"]
+    assert riordan._row_store_entries == 361 * 362 // 2
+    assert len(rows[362]) == 362 and rows[362][:361] == rows[361]
+    for k in (0, 1, 180, 360, 361):
+        assert rows[362][361][k] == str(riordan.central_l_entry(361, k, 3)), k
+
+
 def test_stdin_with_too_few_terms_is_a_usage_error(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 2\n"))
     code, _, err = run_cli(capsys, "hankel", "transform", "--count", "3")

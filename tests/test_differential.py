@@ -633,7 +633,7 @@ def plain(arr):
 
 
 def test_production_rules_match_the_series_expansion():
-    # The rule routes, the three-term recurrence of the partners included,
+    # The rule routes, the rational recurrence of the partners included,
     # must hand out the series route's entries, types too: an int where the
     # value is an integer, a Fraction otherwise.
     for label, named in named_arrays(RULE_ORDER):
@@ -652,11 +652,35 @@ def test_production_rules_match_the_series_expansion():
             assert str(info.value) == str(plain_info.value)
 
 
-def test_three_term_recurrence_gives_the_binomial_inverses():
-    # binomial_power(k)'s rule Z = (k), A = (1, k) is a J-matrix with beta = 0.
+def test_rule_inverse_gives_the_binomial_inverses():
+    # binomial_power(k) keeps its own inverse, but its rule Z = (k),
+    # A = (1, k) read by the rule's inverse formula gives binomial_power(-k).
     for k in range(-4, 5):
-        want = riordan.binomial_power(-k, 30).to_matrix(30)
-        assert repr(riordan._jacobi_inverse_rows((k, 0), (1, k, 0), 30)) == repr(want), k
+        got = riordan._rule_inverse((riordan.binomial_power, k), 30)
+        want = riordan.binomial_power(-k, 30)
+        assert repr(got) == repr(want), k
+        assert repr(got.to_matrix(30)) == repr(want.to_matrix(30)), k
+
+
+def test_rule_arrays_invert_to_rational_arrays_and_back():
+    # Each rule array's inverse expands by the rational recurrence, which
+    # must give its own series route's entries, types too, and inverts back
+    # to the rule array.  The first n rows of the series route depend only
+    # on the first n terms, so one expansion at RULE_ORDER serves every order.
+    for name in ("catalan", "central", "ap"):
+        for r in (1, 2, 3, 5, 8):
+            want = plain(NAMED_BUILDS[name](r, RULE_ORDER).inverse()).to_matrix(RULE_ORDER)
+            for order in range(2, RULE_ORDER + 1):
+                rule_array = NAMED_BUILDS[name](r, order)
+                partner = rule_array.inverse()
+                assert partner._rows[0] is riordan._rational_rows, (name, r, order)
+                assert repr(partner.to_matrix(order)) == repr(want[:order]), (name, r, order)
+                back = partner.inverse()
+                assert back._rows == rule_array._rows, (name, r, order)
+                assert repr(back.to_matrix(order)) == repr(rule_array.to_matrix(order)), (
+                    name, r, order
+                )
+            riordan.clear_row_store()
 
 
 def test_closed_form_inverses_match_lagrange_reversion():
@@ -685,11 +709,10 @@ def test_named_arrays_expand_and_invert_without_series_products(monkeypatch):
     monkeypatch.setattr(series.Series, "revert", forbidden)
     monkeypatch.setattr(series, "_mul_lists", forbidden)
     for label, arr in arrays:
-        inv = arr.inverse()
         arr.to_matrix(INVERSE_ORDER)
-        # a_p's partner has a dense production matrix: it keeps the series.
-        if not label.startswith("ap"):
-            inv.to_matrix(INVERSE_ORDER)
+        inv = arr.inverse()
+        inv.to_matrix(INVERSE_ORDER)
+        inv.inverse().to_matrix(INVERSE_ORDER)
 
 
 def test_named_arrays_compare_print_and_pickle_as_their_series():
@@ -840,7 +863,7 @@ def test_binomial_products_expand_by_the_shifted_rule():
 
 def test_other_products_keep_the_matrix_product():
     # Only a rule's array times binomial_power(k) has a shifted rule: the
-    # J-matrix partners, products of products, named x named and plain
+    # rational partners, products of products, named x named and plain
     # arrays keep the product of the factors' blocks.
     order = 12
     b = riordan.binomial(order)
@@ -908,7 +931,7 @@ APPLY_DIRECT_ORDERS = (2, 3, 5, 8, 13, 21, 30)
 def acting_arrays(order):
     """(label, array): the named arrays and their inverses, named x
     binomial and named x named products, and the bridge's triple product.
-    All but a_p's inverse, a plain rational array, have stored rows."""
+    All of them have stored rows."""
     for label, arr in named_arrays(order):
         yield label, arr
         yield f"{label}-inverse", arr.inverse()
@@ -960,13 +983,7 @@ def test_actions_by_rows_match_the_series_route():
     for order in range(2, APPLY_ORDER + 1):
         direct = order in APPLY_DIRECT_ORDERS
         for label, arr in acting_arrays(order):
-            # a_p's partner is a plain rational array: both sides are series.
-            if label.startswith("ap-") and label.endswith("-inverse"):
-                assert arr._rows is None, label
-                if not direct:
-                    continue
-            else:
-                assert arr._rows is not None, label
+            assert arr._rows is not None, label
             for kind, terms in seqs:
                 got = repr(arr.apply(terms))
                 assert got == repr(oracle[label, kind][:order]), (label, kind, order)

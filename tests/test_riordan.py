@@ -211,14 +211,16 @@ def test_array_determinants_are_one():
 
 
 def stored_arrays(order):
-    """(label, array) of each kind of stored rows: a Z/A rule, a
-    J-matrix partner, a binomial product and its rule's array, and a
-    product of blocks, which reads its factors' stored rows."""
+    """(label, array) of each kind of stored rows: a Z/A rule, rational
+    partners of int and of Fraction entries, a binomial product and its
+    rule's array, and a product of blocks, which reads its factors' stored
+    rows."""
     catalan = riordan.l_catalan(3, order)
     b = riordan.binomial(order)
     return [
         ("catalan", catalan),
         ("coefficient", riordan.coefficient_array(2, order)),
+        ("ap-inverse", riordan.a_p(3, order).inverse()),
         ("central*binomial", riordan.l_central(2, order).multiply(b)),
         ("central", riordan.l_central(2, order)),
         ("catalan*coefficient", catalan.multiply(riordan.coefficient_array(2, order))),
