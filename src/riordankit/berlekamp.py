@@ -14,7 +14,6 @@ off it too.  ``solve_bm`` solves one window by elimination, as the oracle.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import comb, gcd
 
 from . import riordan, sequences, series
@@ -119,7 +118,7 @@ def companion_check(a, d: int):
     if any(sum(a[i + k] * g[k] for k in range(d)) != a[i + d] for i in range(d)):
         raise CrossCheckFailed("companion column does not solve its windows")
     return [
-        [Fraction(1 if i == j + 1 else 0) for j in range(d - 1)] + [g[i]]
+        [1 if i == j + 1 else 0 for j in range(d - 1)] + [g[i]]
         for i in range(d)
     ]
 
@@ -150,16 +149,17 @@ def coefficient_riordan_check(r: int, count: int):
     return rows
 
 
+def _bm_gf(r: int):
+    """(num, den) of (r(1+x) + xy) / ((1-xy)(1+(r+1)x+rx^2-xy)) as grids
+    of x-rows for ``series.bivariate_expand``."""
+    return [[r], [r, 1]], series.poly2_mul([[1], [0, -1]], [[1], [r + 1, -1], [r]])
+
+
 def bm_gf_check(r: int, count: int):
-    """Expand the bivariate generating function
-
-        (r(1+x) + xy) / ((1-xy)(1+(r+1)x+rx^2-xy))
-
-    and assert its coefficient rows reproduce the recurrence triangle of
-    the generalized Catalan family.  Returns the table."""
-    num = [[r], [r, 1]]
-    den = series.poly2_mul([[1], [0, -1]], [[1], [r + 1, -1], [r]])
-    table = series.bivariate_expand(num, den, count)
+    """Expand the bivariate generating function ``_bm_gf(r)`` and assert
+    its coefficient rows reproduce the recurrence triangle of the
+    generalized Catalan family.  Returns the table."""
+    table = series.bivariate_expand(*_bm_gf(r), count)
     terms = sequences.family_terms("catalan", 2 * count, r)
     expected = bm_triangle(terms, count)
     if table.rows != expected:

@@ -77,7 +77,9 @@ def _str_rows(rows):
 def _read_stdin_terms(stream) -> list:
     """Parse decimal integers separated by commas or whitespace.
 
-    Lines starting with ``#`` are comments and skipped.
+    Lines starting with ``#`` are comments and skipped.  A token is read
+    by ``int`` only if it is ASCII and holds no ``_``: ``int`` alone would
+    also take digit separators and the digits of other scripts.
     """
     terms = []
     for line in stream:
@@ -85,6 +87,8 @@ def _read_stdin_terms(stream) -> list:
         if not stripped or stripped.startswith("#"):
             continue
         for token in stripped.replace(",", " ").split():
+            if not token.isascii() or "_" in token:
+                raise ValueError(f"invalid literal for int() with base 10: {token!r}")
             terms.append(int(token))
     return terms
 

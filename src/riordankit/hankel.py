@@ -10,9 +10,9 @@ denominator per row, in the layout of FLINT's ``fmpq_poly``.  The default
 ``spot`` transform certifies it in O(n^2) mod a 61-bit prime, and falls
 back to the pivots of one fraction-free Bareiss elimination, the
 independent exact route, when the prime divides a pivot or a denominator.
-A symmetric matrix that is not Hankel is factored off the same Bareiss
-pass (``linalg._bareiss_step``).  The per-order ``bareiss_det`` stays
-public as an oracle.
+A symmetric matrix that is not Hankel is factored off the pivots of one
+swap-free Bareiss pass (``linalg._pivots``).  The per-order
+``bareiss_det`` stays public as an oracle.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from operator import mul
 from . import riordan
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
 from .linalg import (
-    _bareiss_step, _eliminate, as_int, bareiss_det, mat_mul, pad_square, transpose
+    _eliminate, _pivots, as_int, bareiss_det, mat_mul, pad_square, transpose
 )
 from .series import _integer_row, _ratio
 
@@ -191,18 +191,15 @@ def ldl(h) -> LDLDecomp:
 
 
 def _ldl_dense(h) -> LDLDecomp:
-    """LDL^T of a square symmetric matrix off one Bareiss pass, O(n^3).
-    Pivot k is the leading minor H_(k+1), zero at a vanishing one, and the
-    pass leaves det h[{0..k-1, i}, {0..k}] below it in row i, so
+    """LDL^T of a square symmetric matrix off one swap-free Bareiss pass
+    (``linalg._pivots``), O(n^3).  Pivot k is the leading minor H_(k+1),
+    and the pass stops at the first vanishing one.  Below pivot k it
+    leaves det h[{0..k-1, i}, {0..k}] in row i, so
     L[i][k] = m[i][k] / m[k][k] and D[k] = H_(k+1) / H_k."""
     m = [list(row) for row in h]
-    prev = 1
-    for k in range(len(m)):
-        if m[k][k] == 0:
-            raise SingularLeadingMinor(k)
-        _bareiss_step(m, k, prev)
-        prev = m[k][k]
-    pivots = [row[k] for k, row in enumerate(m)]
+    pivots = _pivots(m)
+    if 0 in pivots:
+        raise SingularLeadingMinor(len(pivots) - 1)
     d = [Fraction(p, q) for p, q in zip(pivots, [1] + pivots)]
     # Not ``series._ratio``, which takes ints: the pivots of a Fraction
     # matrix are Fractions, and every integral entry of L must be an int.

@@ -4,8 +4,10 @@ linear-recurrence modules.
 Matrices are plain lists of row lists with int or Fraction entries.
 Triangular arrays are often kept ragged (row n holds n+1 entries);
 ``pad_square`` turns those into full square matrices when needed.
-``_bareiss_step`` is the row update of every elimination, the dense LDL^T
-in ``hankel`` included, and ``mat_mul`` the one matrix product.
+``_bareiss_step`` is the row update of every elimination, and ``_pivots``
+the one swap-free pass, whose pivots are the leading minors: the dense
+LDL^T in ``hankel`` and ``verify``'s LDL check read it.  ``mat_mul`` is
+the one matrix product.
 
 ``mat_mul`` multiplies int numerators, after the (numerators,
 denominator) layout of ``series`` and FLINT's ``fmpq_mat``: each column
@@ -207,27 +209,19 @@ def bareiss_det(m):
     return sign * a[n - 1][n - 1] if done == n - 1 else 0
 
 
-def _leading_minors(m):
-    """The determinants of the leading 1 x 1 ... n x n blocks of square m.
-
-    One swap-free Bareiss pass reads them all off its pivots: with no swap
-    before step k, pivot k is the leading (k+1) x (k+1) minor.  After a
-    zero pivot the pass cannot go on without a swap, so every larger
-    minor is one ``bareiss_det`` of its block.  O(n^3) while the pivots
-    are nonzero, against O(n^4) for n calls of ``bareiss_det``.
-    """
-    a = [list(row) for row in m]
+def _pivots(m):
+    """The pivots of one swap-free Bareiss pass over square m, in place, up
+    to and including the first zero.  With no swap before step k, pivot k
+    is the leading (k+1) x (k+1) minor (Bareiss, *Math. Comp.* 22, 1968);
+    the pass cannot go on past a zero one without a swap."""
     out = []
     prev = 1
-    for k in range(len(a)):
-        pivot = a[k][k]
+    for k, row in enumerate(m):
+        pivot = row[k]
         out.append(pivot)
         if not pivot:
-            out += [
-                bareiss_det([row[:j] for row in m[:j]]) for j in range(k + 2, len(a) + 1)
-            ]
             break
-        _bareiss_step(a, k, prev)
+        _bareiss_step(m, k, prev)
         prev = pivot
     return out
 

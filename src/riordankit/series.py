@@ -15,7 +15,7 @@ back into an entry, an int where it divides and a Fraction otherwise.
 
 The module also provides a small bivariate expander for rational generating
 functions in x and y, used for triangles read off as ``[x^n y^k]``; its
-y-polynomials use the same layout and kernels.
+y-polynomials are ``Series`` and use their arithmetic.
 """
 
 from __future__ import annotations
@@ -31,8 +31,6 @@ from .errors import (
     NotRevertible,
     ZeroConstantDivisor,
 )
-
-_ZERO = Fraction(0)
 
 
 def _integer_row(values):
@@ -320,43 +318,25 @@ class BivariateTable(namedtuple("BivariateTable", "rows order_x")):
     __slots__ = ()
 
 
-# The y-polynomials below are (numerators, denominator) pairs as ``_normal``
-# returns them.
-
-
-def _fractions(p):
-    num, den = p
-    return [Fraction(c, den) for c in num]
-
-
 def poly2_mul(a, b):
-    """Product of two bivariate polynomials given as grids of x-rows."""
-    a = [_integer_row(row) for row in a]
-    b = [_integer_row(row) for row in b]
-    rows = [((), 1)] * (len(a) + len(b) - 1)
+    """Product of two bivariate polynomials given as grids of x-rows.
+
+    Row k of the product is as long as the longest product of two nonempty
+    rows a[i] and b[k - i], as the exact product of the y-polynomials."""
+    widths = [0] * (len(a) + len(b) - 1)
     for i, ai in enumerate(a):
         for j, bj in enumerate(b):
-            rows[i + j] = _yadd(rows[i + j], _ymul(ai, bj))
-    return [_fractions(row) for row in rows]
-
-
-def _yadd(p, q, sign=1):
-    """p + sign * q, as long as the longer of the two."""
-    (a, da), (b, db) = p, q
-    den = lcm(da, db)
-    sa, sb = den // da, sign * (den // db)
-    out = [c * sa for c in a] + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] += c * sb
-    return _normal(out, den)
-
-
-def _ymul(p, q, cap=None):
-    (a, da), (b, db) = p, q
-    size = len(a) + len(b) - 1 if a and b else 0
-    if cap is not None:
-        size = min(size, cap)
-    return _normal(_mul_lists(a, b, size), da * db)
+            if ai and bj:
+                widths[i + j] = max(widths[i + j], len(ai) + len(bj) - 1)
+    # At the widest product's order every product is exact.
+    size = max(widths, default=0)
+    a = [poly(row, size) for row in a]
+    b = [poly(row, size) for row in b]
+    rows = [poly((), size)] * len(widths)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            rows[i + j] += ai * bj
+    return [list(row[:w]) for row, w in zip(rows, widths)]
 
 
 def bivariate_expand(num, den, order_x: int) -> BivariateTable:
@@ -366,32 +346,26 @@ def bivariate_expand(num, den, order_x: int) -> BivariateTable:
     of x^i y^j.  The denominator needs a nonzero constant term.  Row n of
     the result holds [x^n y^k] for k = 0..n (longer only if a coefficient
     beyond y^n is nonzero, which cannot happen for proper triangles).
+    Every y-series is a ``Series`` of order ``order_x``, all that any row
+    can reach.
     """
     if order_x < 1:
         raise ValueError("order_x must be at least 1")
     den_rows = [list(r) for r in den]
     if not den_rows or not den_rows[0] or den_rows[0][0] == 0:
         raise ZeroConstantDivisor("bivariate denominator has zero constant term")
-    num_rows = [_integer_row(r) for r in num]
-    den_rows = [_integer_row(r) for r in den_rows]
-    cap = order_x
-    # The reciprocal of the y-polynomial den_rows[0] as a power series in y.
-    d0, e0 = den_rows[0]
-    inv0 = _normal(*_quotient([e0], d0, cap))
+    num_rows = [poly(r, order_x) for r in num]
+    den_rows = [poly(r, order_x) for r in den_rows]
+    inv0 = 1 / den_rows[0]
+    zero = poly((), order_x)
     q = []
     for n in range(order_x):
-        t = num_rows[n] if n < len(num_rows) else ((), 1)
+        t = num_rows[n] if n < len(num_rows) else zero
         for i in range(1, min(n, len(den_rows) - 1) + 1):
-            t = _yadd(t, _ymul(den_rows[i], q[n - i], cap), -1)
-        q.append(_ymul(t, inv0, cap))
+            t = t - den_rows[i] * q[n - i]
+        q.append(t * inv0)
     rows = []
     for n, qn in enumerate(q):
-        last = 0
-        for idx, c in enumerate(qn[0]):
-            if c:
-                last = idx
-        width = max(n + 1, last + 1)
-        row = _fractions(qn)[:width]
-        row += [_ZERO] * (width - len(row))
-        rows.append(row)
+        last = max((i for i, c in enumerate(qn.num) if c), default=0)
+        rows.append(list(qn[: max(n + 1, last + 1)]))
     return BivariateTable(rows=rows, order_x=order_x)

@@ -141,8 +141,7 @@ def check_series_revert(r_max, n_max):
 def check_series_bivariate_y0(r_max, n_max):
     order = max(4, min(n_max, 8))
     for r in _rs(r_max):
-        num = [[r], [r, 1]]
-        den = series.poly2_mul([[1], [0, -1]], [[1], [r + 1, -1], [r]])
+        num, den = berlekamp._bm_gf(r)
         table = series.bivariate_expand(num, den, order)
         col0 = [row[0] for row in table.rows]
         num_y0 = [row[0] if row else 0 for row in num]
@@ -188,12 +187,11 @@ def check_b_methods(r_max, n_max):
             r=r,
             n_max=n_max,
         )
-        pell = [sequences.gen_pell(n, r) for n in range(n_max + 1)]
         yield _prop(
             f"b-binomial-of-pell-r{r}",
             "b is the binomial transform of the generalized Pell sequence",
             [sequences.b_seq(n, r) for n in range(n_max + 1)],
-            hankel.binomial_transform(pell, 1),
+            hankel.binomial_transform(sequences.family_terms("pell", n_max + 1, r), 1),
             r=r,
             n_max=n_max,
         )
@@ -222,14 +220,14 @@ def check_closed_form_helpers(r_max, n_max):
             r=r,
             n_max=n_max,
         )
-        aerated = [sequences.bessel_moments(n, r) for n in range(2 * n_max + 1)]
-        central_terms = [sequences.central(n, r) for n in range(2 * n_max + 1)]
         yield _prop(
             f"bessel-binomial-shift-r{r}",
             "the aerated moment sequence is the (-(r+1))-fold binomial shift "
             "of the central family",
-            aerated,
-            hankel.binomial_transform(central_terms, -(r + 1)),
+            sequences.family_terms("bessel", 2 * n_max + 1, r),
+            hankel.binomial_transform(
+                sequences.family_terms("central", 2 * n_max + 1, r), -(r + 1)
+            ),
             r=r,
         )
 
@@ -396,7 +394,7 @@ def check_ldl(r_max, n_max):
             yield _prop(
                 f"ldl-bareiss-agreement-{name}-r{r}",
                 "partial products of the LDL^T diagonal equal the Bareiss minors",
-                linalg._leading_minors(h),
+                linalg._pivots([list(row) for row in h]),
                 list(accumulate(dec.d, mul)),
                 family=name,
                 r=r,

@@ -92,6 +92,13 @@ def test_companion_matrix_table():
     ]
 
 
+def test_companion_matrix_entries_are_ints_where_integral():
+    # As every other matrix of the library: the ones and zeros below the
+    # last column too, not Fraction(1) and Fraction(0).
+    m = berlekamp.companion_check(C3, 4)
+    assert {type(v) for row in m for v in row} == {int}
+
+
 def test_companion_char_poly_consistency():
     # det(tI - M) must equal the ascending characteristic coefficients;
     # compare by evaluation at d+1 points.

@@ -163,6 +163,15 @@ def test_stdin_with_junk_is_a_usage_error(capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("token", ["1_0", "١"], ids=["underscore", "arabic-indic"])
+def test_stdin_takes_only_ascii_decimal_integers(capsys, monkeypatch, token):
+    # int() alone reads both tokens, as 10 and 1.
+    monkeypatch.setattr(sys, "stdin", io.StringIO(f"{token} 2 3\n"))
+    code, out, err = run_cli(capsys, "hankel", "transform", "--count", "2")
+    assert (code, out) == (2, "")
+    assert f"invalid literal for int() with base 10: {token!r}" in err
+
+
 def test_singular_minor_exits_three(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO("1 1 2 3 5 8 13\n"))
     code, _, err = run_cli(capsys, "hankel", "ldl", "--size", "4")

@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from riordankit import cli, hankel, production, riordan, sequences, verify
+from riordankit import berlekamp, cli, hankel, production, riordan, sequences, verify
 from riordankit.cli import canonical_json
 from riordankit.errors import CrossCheckFailed, SingularLeadingMinor
 
@@ -106,6 +106,40 @@ def test_a_wrong_production_rule_fails_the_independent_checks(monkeypatch):
     assert actions <= failed
     assert bridges <= failed
     assert all("catalan" in check for check in failed - bridges), failed
+
+
+def test_a_wrong_ldl_diagonal_fails_every_bareiss_agreement(monkeypatch):
+    true_ldl = hankel.ldl
+
+    def planted(h):
+        dec = true_ldl(h)
+        return hankel.LDLDecomp(l=dec.l, d=dec.d[:-1] + [2 * dec.d[-1]])
+
+    monkeypatch.setattr(hankel, "ldl", planted)
+    agreement = [
+        res for res in verify.run_checks(["hankel"], 4, 8).checks
+        if res.id.startswith("ldl-bareiss-agreement-")
+    ]
+    # Three families at r = 1..4.
+    assert len(agreement) == 12
+    assert all(res.status == "fail" for res in agreement)
+
+
+def test_a_wrong_recurrence_entry_fails_every_generating_function_check(monkeypatch):
+    true_triangle = berlekamp.bm_triangle
+
+    def planted(a, count):
+        rows = true_triangle(a, count)
+        return rows[:-1] + [rows[-1][:-1] + [rows[-1][-1] + 1]]
+
+    monkeypatch.setattr(berlekamp, "bm_triangle", planted)
+    gf = [
+        res for res in verify.run_checks(["berlekamp"], 4, 8).checks
+        if res.id.startswith("bm-gf-r")
+    ]
+    message = "CrossCheckFailed: generating function rows do not match the solved rows"
+    assert len(gf) == 4
+    assert all((res.status, res.actual) == ("fail", message) for res in gf)
 
 
 def test_a_guarded_construction_that_raises_fails_its_check(monkeypatch):
