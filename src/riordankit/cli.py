@@ -74,38 +74,17 @@ def _str_rows(rows):
     return [[str(v) for v in row] for row in rows]
 
 
-def _read_stdin_terms(stream) -> list:
-    """Parse decimal integers separated by commas or whitespace.
-
-    Lines starting with ``#`` are comments and skipped.  A token is read
-    by ``int`` only if it is ASCII and holds no ``_``: ``int`` alone would
-    also take digit separators and the digits of other scripts.
-    """
-    terms = []
-    for line in stream:
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        for token in stripped.replace(",", " ").split():
-            if not token.isascii() or "_" in token:
-                raise ValueError(f"invalid literal for int() with base 10: {token!r}")
-            terms.append(int(token))
-    return terms
+def decimal(text: str) -> int:
+    """Read one integer, of stdin or of an option: ``int``, but only of
+    ASCII text without ``_``, as ``int`` alone would also take digit
+    separators and the digits of other scripts."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"invalid literal for int() with base 10: {text!r}")
+    return int(text)
 
 
-def _terms_for(args, needed: int) -> list:
-    if args.family is not None:
-        return sequences.family_terms(args.family, needed, args.r)
-    terms = _read_stdin_terms(sys.stdin)
-    if len(terms) < needed:
-        raise InsufficientTerms(
-            f"need {needed} terms on stdin, got {len(terms)}"
-        )
-    return terms
-
-
-def _positive_int(text: str) -> int:
-    value = int(text)
+def positive(text: str) -> int:
+    value = decimal(text)
     if value < 1:
         raise argparse.ArgumentTypeError("must be a positive integer")
     return value
@@ -134,56 +113,67 @@ def cmd_generate(args) -> int:
     return 0
 
 
-def _hankel_emit(args, needed: int, params: dict, result_of) -> int:
-    """Read the first ``needed`` terms and emit the envelope shared by every
-    ``hankel`` action: the terms, the parameters, and ``result_of(terms)``."""
-    terms = _terms_for(args, needed)[:needed]
-    result = result_of(terms)
-    head = {"family": args.family or "stdin"}
+def _ldl_result(terms, n, method):
+    dec = hankel.ldl(hankel.hankel_matrix(terms, n))
+    return {"l": _str_rows(dec.l), "d": _str_list(dec.d)}
+
+
+# The ``hankel`` actions, each as (help, size option, its default, extra,
+# result): the action reads 2n + extra terms for size n and reports
+# result(terms, n, method).  build_parser and cmd_hankel both read it.
+HANKEL_ACTIONS = {
+    "transform": (
+        "sequence of leading Hankel minors", "--count", 8, -1,
+        lambda terms, n, method: {
+            "values": _str_list(hankel.hankel_transform(terms, n, method=method))},
+    ),
+    "ldl": (
+        "exact LDL^T factorization of the Hankel matrix", "--size", 4, -1, _ldl_result,
+    ),
+    "bm": (
+        "solve the recurrence triangle window by window", "--rows", 4, 0,
+        lambda terms, n, method: {
+            "rows": _str_rows(berlekamp.bm_triangle(terms, n))},
+    ),
+    "charpoly": (
+        "characteristic coefficients of one window (ascending order)", "--size", 4, 0,
+        lambda terms, n, method: {
+            "coefficients": _str_list(berlekamp.char_poly(terms, n))},
+    ),
+    "production": (
+        "production matrix of the Hankel unit factor", "--size", 4, 1,
+        lambda terms, n, method: {"rows": _str_rows(production_mod.production_matrix(
+            hankel.ldl(hankel.hankel_matrix(terms, n + 1)).l))},
+    ),
+}
+
+
+def cmd_hankel(args) -> int:
+    """Read the action's terms, from --family or stdin, and print them with
+    the parameters and the action's result."""
+    _, option, _, extra, result_of = HANKEL_ACTIONS[args.action]
+    n = getattr(args, option[2:])
+    needed = 2 * n + extra
+    params = {"family": args.family or "stdin", option[2:]: str(n)}
     if args.family is not None:
-        head["r"] = str(args.r)
-    head.update({k: str(v) for k, v in params.items()})
-    _emit_json({"input": _str_list(terms), "params": head, "result": result})
+        r = 1 if args.r is None else args.r
+        terms = sequences.family_terms(args.family, needed, r)
+        params["r"] = str(r)
+    elif args.r is not None:
+        raise UnsupportedParameter("--r applies only to --family terms")
+    else:
+        terms = [decimal(token) for line in sys.stdin
+                 if not line.lstrip().startswith("#")
+                 for token in line.replace(",", " ").split()]
+        if len(terms) < needed:
+            raise InsufficientTerms(f"need {needed} terms on stdin, got {len(terms)}")
+    terms = terms[:needed]
+    method = getattr(args, "method", None)
+    if method is not None:
+        params["method"] = method
+    result = result_of(terms, n, method)
+    _emit_json({"input": _str_list(terms), "params": params, "result": result})
     return 0
-
-
-def cmd_hankel_transform(args) -> int:
-    def result_of(terms):
-        values = hankel.hankel_transform(terms, args.count, method=args.method)
-        return {"values": _str_list(values)}
-
-    params = {"count": args.count, "method": args.method}
-    return _hankel_emit(args, 2 * args.count - 1, params, result_of)
-
-
-def cmd_hankel_ldl(args) -> int:
-    def result_of(terms):
-        dec = hankel.ldl(hankel.hankel_matrix(terms, args.size))
-        return {"l": _str_rows(dec.l), "d": _str_list(dec.d)}
-
-    return _hankel_emit(args, 2 * args.size - 1, {"size": args.size}, result_of)
-
-
-def cmd_hankel_bm(args) -> int:
-    def result_of(terms):
-        return {"rows": _str_rows(berlekamp.bm_triangle(terms, args.rows))}
-
-    return _hankel_emit(args, 2 * args.rows, {"rows": args.rows}, result_of)
-
-
-def cmd_hankel_charpoly(args) -> int:
-    def result_of(terms):
-        return {"coefficients": _str_list(berlekamp.char_poly(terms, args.size))}
-
-    return _hankel_emit(args, 2 * args.size, {"size": args.size}, result_of)
-
-
-def cmd_hankel_production(args) -> int:
-    def result_of(terms):
-        dec = hankel.ldl(hankel.hankel_matrix(terms, args.size + 1))
-        return {"rows": _str_rows(production_mod.production_matrix(dec.l))}
-
-    return _hankel_emit(args, 2 * args.size + 1, {"size": args.size}, result_of)
 
 
 def cmd_riordan(args) -> int:
@@ -216,10 +206,12 @@ def cmd_production(args) -> int:
     if args.action == "matrix":
         # Every --array choice expands by a Z/A rule (riordan._rule_rows),
         # whose P is read off the rule.
-        source = NAMED_ARRAYS[args.array](args.r, args.size + 1)
+        params["array"] = array = args.array or "ap"
+        source = NAMED_ARRAYS[array](args.r, args.size + 1)
         rows = riordan.rule_matrix(*source._rows[1], args.size)
-        params["array"] = args.array
         header = ("i", "j", "value")
+    elif args.array is not None:
+        raise UnsupportedParameter("--array applies only to production matrix")
     elif args.action == "array":
         rows = production_mod.a_p(args.r, args.size).to_matrix(args.size)
     else:
@@ -253,8 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="print a sequence family or triangle")
     gen.add_argument("family", choices=GENERATE_FAMILIES)
-    gen.add_argument("--r", type=_positive_int, default=1)
-    gen.add_argument("--n", type=_positive_int, default=8,
+    gen.add_argument("--r", type=positive, default=1)
+    gen.add_argument("--n", type=positive, default=8,
                      help="number of terms (or triangle rows)")
     gen.add_argument("--format", choices=("json", "csv"), default="json")
     gen.set_defaults(func=cmd_generate)
@@ -262,47 +254,27 @@ def build_parser() -> argparse.ArgumentParser:
     han = sub.add_parser("hankel", help="Hankel transforms and factorizations")
     hsub = han.add_subparsers(dest="action", required=True)
 
-    def _family_opts(p):
-        p.add_argument("--family", choices=sequences.FAMILY_NAMES, default=None,
-                       help="built-in family; omit to read terms from stdin")
-        p.add_argument("--r", type=_positive_int, default=1)
-
-    tr = hsub.add_parser("transform", help="sequence of leading Hankel minors")
-    _family_opts(tr)
-    tr.add_argument("--count", type=_positive_int, default=8)
-    tr.add_argument("--method", choices=("ldl", "bareiss", "both", "spot"),
-                    default="spot")
-    tr.set_defaults(func=cmd_hankel_transform)
-
-    ld = hsub.add_parser("ldl", help="exact LDL^T factorization of the Hankel matrix")
-    _family_opts(ld)
-    ld.add_argument("--size", type=_positive_int, default=4)
-    ld.set_defaults(func=cmd_hankel_ldl)
-
-    bm = hsub.add_parser("bm", help="solve the recurrence triangle window by window")
-    _family_opts(bm)
-    bm.add_argument("--rows", type=_positive_int, default=4)
-    bm.set_defaults(func=cmd_hankel_bm)
-
-    cp = hsub.add_parser("charpoly",
-                         help="characteristic coefficients of one window "
-                         "(ascending order)")
-    _family_opts(cp)
-    cp.add_argument("--size", type=_positive_int, default=4)
-    cp.set_defaults(func=cmd_hankel_charpoly)
-
-    pr = hsub.add_parser("production",
-                         help="production matrix of the Hankel unit factor")
-    _family_opts(pr)
-    pr.add_argument("--size", type=_positive_int, default=4)
-    pr.set_defaults(func=cmd_hankel_production)
+    for action, (help_text, option, default, _, _) in HANKEL_ACTIONS.items():
+        act = hsub.add_parser(action, help=help_text)
+        act.add_argument("--family", choices=sequences.FAMILY_NAMES, default=None,
+                         help="built-in family; omit to read terms from stdin")
+        # None stands for 1; it tells a --r given with stdin terms apart.
+        act.add_argument("--r", type=positive, default=None)
+        act.add_argument(option, type=positive, default=default)
+        if action == "transform":
+            act.add_argument(
+                "--method", choices=("ldl", "bareiss", "both", "spot"), default="spot",
+                help="spot, both: the moment pass and its certificate mod 2^61-1; "
+                "ldl: the pass without the certificate; bareiss: the pass carried "
+                "through vanishing minors (no Bareiss elimination)")
+        act.set_defaults(func=cmd_hankel)
 
     rio = sub.add_parser("riordan", help="expand a named array to a triangle")
     rio.add_argument("array", choices=ARRAY_NAMES)
-    rio.add_argument("--r", type=_positive_int, default=1)
-    rio.add_argument("--size", type=_positive_int, default=6)
+    rio.add_argument("--r", type=positive, default=1)
+    rio.add_argument("--size", type=positive, default=6)
     rio.add_argument("--inverse", action="store_true")
-    rio.add_argument("--power", type=int, default=1,
+    rio.add_argument("--power", type=decimal, default=1,
                      help="integer power of the binomial array")
     rio.add_argument("--format", choices=("json", "csv"), default="json")
     rio.set_defaults(func=cmd_riordan)
@@ -311,17 +283,17 @@ def build_parser() -> argparse.ArgumentParser:
                           help="production matrices and the arrays they generate")
     prod.add_argument("action", choices=("matrix", "array", "bridge"))
     prod.add_argument("--array", choices=[n for n in ARRAY_NAMES if n != "coefficient"],
-                      default="ap", help="source array for 'matrix'")
-    prod.add_argument("--r", type=_positive_int, default=1)
-    prod.add_argument("--size", type=_positive_int, default=4)
+                      default=None, help="source array for 'matrix'")
+    prod.add_argument("--r", type=positive, default=1)
+    prod.add_argument("--size", type=positive, default=4)
     prod.add_argument("--format", choices=("json", "csv"), default="json")
     prod.set_defaults(func=cmd_production)
 
     ver = sub.add_parser("verify", help="run the identity-check suite")
     ver.add_argument("--scope", action="append",
                      choices=("all",) + VERIFY_SCOPES, default=None)
-    ver.add_argument("--r-max", type=_positive_int, default=4)
-    ver.add_argument("--n-max", type=_positive_int, default=8)
+    ver.add_argument("--r-max", type=positive, default=4)
+    ver.add_argument("--n-max", type=positive, default=8)
     ver.add_argument("--parallel", action="store_true")
     ver.set_defaults(func=cmd_verify)
 

@@ -228,8 +228,11 @@ def _pivots(m):
 
 def solve(a, b):
     """Solve a x = b exactly: fraction-free forward elimination, then
-    back-substitution over Fractions.  Raises SingularSystem if singular."""
+    back-substitution over Fractions.  Raises SingularSystem if singular,
+    and ValueError if b does not have one entry per row of a."""
     n = len(a)
+    if len(b) != n:
+        raise ValueError(f"b has {len(b)} entries for {n} rows")
     m = [list(a[i]) + [b[i]] for i in range(n)]
     if _eliminate(m, n)[1] < n:
         raise SingularSystem(n)

@@ -524,6 +524,12 @@ def test_determinant_and_solve_match_cofactor_routes():
     assert singular > 0
 
 
+@pytest.mark.parametrize("b", [[1], [1, 2, 3]], ids=["short", "long"])
+def test_solve_wants_one_entry_of_b_per_row(b):
+    with pytest.raises(ValueError, match=f"b has {len(b)} entries for 2 rows"):
+        linalg.solve([[1, 0], [0, 1]], b)
+
+
 def matrix_pairs(rng):
     """(A, B) with int, Fraction or mixed entries, shapes from 0 x 0 up,
     rectangular ones, 0-row A, 0-column B, all-zero rows, and rows whose
