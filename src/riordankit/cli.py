@@ -75,9 +75,9 @@ def _str_rows(rows):
 
 
 def decimal(text: str) -> int:
-    """Read one integer, of stdin or of an option: ``int``, but only of
-    ASCII text without ``_``, as ``int`` alone would also take digit
-    separators and the digits of other scripts."""
+    """One integer of stdin or of an option, read by ``int`` only from ASCII
+    text without ``_``: ``int`` alone would also take digit separators and
+    the digits of other scripts."""
     if not text.isascii() or "_" in text:
         raise ValueError(f"invalid literal for int() with base 10: {text!r}")
     return int(text)
@@ -156,7 +156,7 @@ def cmd_hankel(args) -> int:
     needed = 2 * n + extra
     params = {"family": args.family or "stdin", option[2:]: str(n)}
     if args.family is not None:
-        r = 1 if args.r is None else args.r
+        r = args.r or 1
         terms = sequences.family_terms(args.family, needed, r)
         params["r"] = str(r)
     elif args.r is not None:
