@@ -14,6 +14,7 @@ off it too.  ``solve_bm`` solves one window by elimination, as the oracle.
 
 from __future__ import annotations
 
+from itertools import chain, repeat
 from math import comb, gcd
 
 from . import riordan, sequences, series
@@ -41,20 +42,37 @@ def _orthogonal_polys(steps):
     steps (Q, g, D, E) of the moment pass give, by M = Q[-1] and
     D M pi_(s_(j+1)) = D Q(x) pi_(s_j) - g E pi_(s_(j-1)), each as ascending
     int numerators over one positive denominator (the last numerator),
-    with one gcd taken out per polynomial."""
+    with one gcd taken out per polynomial.
+
+    A J-fraction step, Q = (q0, q1), is one pass over the coefficients,
+    (q1 x + q0) pi_(s_j) - g pi_(s_(j-1)), without the multiplication by
+    q1 when q1 = 1, as on every step of an integer J-fraction.  The gcd is
+    ``series._normal``'s: found from the first three coefficients and
+    confirmed by one exact division of each."""
     polys = []
     before, before_den = (), 1
     pi, den = (1,), 1
     for q, g, d, e in steps:
         # One gcd keeps the multipliers small: pi is normalised anyway.
-        q, g = [c * d * before_den for c in q], g * e * den
+        m, g = d * before_den, g * e * den
+        if m != 1:
+            q = [c * m for c in q]
         h = gcd(g, *q)
-        q, g = [c // h for c in q], g // h
-        nxt = [0] * (len(q) - 1) + [q[-1] * x for x in pi]
-        for i, c in enumerate(q[:-1]):
-            if c:
-                nxt[i : i + len(pi)] = [v + c * x for v, x in zip(nxt[i:], pi)]
-        nxt[: len(before)] = [v - g * x for v, x in zip(nxt, before)]
+        if h != 1:
+            q, g = [c // h for c in q], g // h
+        if len(q) == 2:
+            q0, q1 = q
+            terms = zip((0, *pi), (*pi, 0), chain(before, repeat(0)))
+            if q1 == 1:
+                nxt = [x + q0 * y - g * z for x, y, z in terms]
+            else:
+                nxt = [q1 * x + q0 * y - g * z for x, y, z in terms]
+        else:
+            nxt = [0] * (len(q) - 1) + [q[-1] * x for x in pi]
+            for i, c in enumerate(q[:-1]):
+                if c:
+                    nxt[i : i + len(pi)] = [v + c * x for v, x in zip(nxt[i:], pi)]
+            nxt[: len(before)] = [v - g * x for v, x in zip(nxt, before)]
         before, before_den = pi, den
         pi, den = _normal(nxt, nxt[-1])
         polys.append((pi, den))

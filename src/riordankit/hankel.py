@@ -18,6 +18,7 @@ swap-free Bareiss pass (``linalg._pivots``).  The per-order
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate, repeat
 from math import gcd
 from operator import mul
 
@@ -26,7 +27,7 @@ from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
 from .linalg import (
     _eliminate, _pivots, as_int, bareiss_det, mat_mul, pad_square, transpose
 )
-from .series import _integer_row, _ratio
+from .series import _integer_row, _normal, _ratio
 
 __all__ = [
     "hankel_matrix",
@@ -44,7 +45,7 @@ def hankel_matrix(a, m: int):
         raise ValueError("matrix dimension must be at least 1")
     if len(a) < 2 * m - 1:
         raise InsufficientTerms(f"need {2 * m - 1} terms for a {m} x {m} Hankel matrix")
-    return [[a[i + j] for j in range(m)] for i in range(m)]
+    return [list(a[i : i + m]) for i in range(m)]
 
 
 class LDLDecomp:
@@ -103,15 +104,23 @@ def _chebyshev(a, *, stop_at_zero=False):
     pi_(j-1).  Gautschi, *Orthogonal Polynomials* (2004), 2.1.7; Han,
     *Adv. Math.* 303 (2016).
 
+    The J-fraction step needs no window solve: Q = (q0, q1) with
+    q1 = p c, q0 = c P[k'+1] - p N[1] and g = c^2.  The row update is
+    N[i+2] q1 + N[i+1] q0 - P[k'+i+2] g, without the multiplication by q1
+    when q1 = 1.  The content of the new row over D q1 is found by
+    ``series._normal``: the gcd of D q1 and the first three entries,
+    confirmed by one exact division of every entry; only a remainder
+    falls back to the gcd of all of them.
+
     Returns (rows, steps), step j = (Q, g, D, E) as ints, where Q and
     g = c^(k+2) have their content, gcd(g, *Q), taken out before the row
     update: a positive scale that leaves the row unchanged.  For a
     J-fraction with integer alpha_j and beta_j, such as the Catalan and
-    central families, the step is then ((-alpha_j, 1), beta_j, 1, 1).  The
-    pass ends when the terms no longer determine a step (N - 2 s_j < 2k + 2)
-    or the next row would be empty, and with ``stop_at_zero`` right after
-    the first row with a leading zero, the first vanishing minor, for
-    callers that fail there.
+    central families, the step is then ((-alpha_j, 1), beta_j, 1, 1), so
+    q1 = 1 on every step.  The pass ends when the terms no longer
+    determine a step (N - 2 s_j < 2k + 2) or the next row would be empty,
+    and with ``stop_at_zero`` right after the first row with a leading
+    zero, the first vanishing minor, for callers that fail there.
     """
     num, den = _integer_row(a)
     rows, steps = [(num, den)], []
@@ -121,31 +130,33 @@ def _chebyshev(a, *, stop_at_zero=False):
         if len(num) < 2 * k + 2 or k and stop_at_zero:
             return rows, steps
         c = num[k]
-        lead = c ** (k + 1)
-        q = [0] * (k + 1) + [low[kp] * lead]
-        for t in range(k + 1):
-            known = sum(q[i] * num[t + i] for i in range(k + 1 - t, k + 2))
-            q[k - t] = lead * low[kp + 1 + t] - known // c
-        gamma = lead * c
+        if k:
+            lead = c ** (k + 1)
+            q = [0] * (k + 1) + [low[kp] * lead]
+            for t in range(k + 1):
+                known = sum(q[i] * num[t + i] for i in range(k + 1 - t, k + 2))
+                q[k - t] = lead * low[kp + 1 + t] - known // c
+            gamma = lead * c
+        else:
+            p = low[kp]
+            q, gamma = [c * low[kp + 1] - p * num[1], p * c], c * c
         g = gcd(gamma, *q)
         if g != 1:
             q, gamma = [x // g for x in q], gamma // g
         steps.append((q, gamma, den, low_den))
         if len(num) < 2 * k + 3:
             return rows, steps
-        nxt = [
-            q[-1] * x + q[-2] * y - gamma * z
-            for x, y, z in zip(num[2 * k + 2 :], num[2 * k + 1 :], low[k + kp + 2 :])
-        ]
+        q0, q1 = q[-2], q[-1]
+        terms = zip(num[2 * k + 2 :], num[2 * k + 1 :], low[k + kp + 2 :])
+        if q1 == 1:
+            nxt = [x + q0 * y - gamma * z for x, y, z in terms]
+        else:
+            nxt = [q1 * x + q0 * y - gamma * z for x, y, z in terms]
         for i in range(k):
             if q[i]:
                 nxt = [v + q[i] * x for v, x in zip(nxt, num[k + 1 + i :])]
-        scale = den * q[-1]
-        g = gcd(scale, *nxt) if scale > 0 else -gcd(scale, *nxt)
-        if g != 1:
-            nxt, scale = [x // g for x in nxt], scale // g
         low, low_den, kp = num, den, k
-        num, den = nxt, scale
+        num, den = _normal(nxt, den * q1)
         rows.append((num, den))
 
 
@@ -182,11 +193,11 @@ def ldl(h) -> LDLDecomp:
         if num[0] == 0:
             raise SingularLeadingMinor(k)
     d = [Fraction(num[0], den) for num, den in rows]
-    # Column k of L below the diagonal is num_k[1:] / num_k[0].
-    cols = [
-        [_ratio(x, num[0]) for x in num[1 : n - k]] for k, (num, _) in enumerate(rows)
+    # L[i][k] = num_k[i-k] / num_k[0].
+    l = [
+        [_ratio(num[i - k], num[0]) for k, (num, _) in enumerate(rows[:i])] + [1]
+        for i in range(n)
     ]
-    l = [[cols[k][i - k - 1] for k in range(i)] + [1] for i in range(n)]
     return LDLDecomp(l=l, d=d)
 
 
@@ -247,22 +258,29 @@ def hankel_transform(a, count: int, method: str = "spot"):
                 )
     if all(isinstance(v, int) for v in terms):
         return [as_int(v) for v in values]
-    return values
+    return [Fraction(v) for v in values]
 
 
 def _minors(rows, count):
-    """H_1..H_count off the rows of the moment pass, zeros included."""
-    values, acc = [], Fraction(1)
+    """H_1..H_count off the rows of the moment pass, zeros included.
+
+    Each is the one before times (-1)^(k(k+1)/2) (c/den)^(k+1).  While
+    that product stays an int, as every minor of integer terms does, it is
+    one multiplication and one exact division, with no gcd."""
+    values, acc = [], 1
     for num, den in rows:
         k = _leading_zeros(num)
-        values += [Fraction(0)] * k
+        values += [0] * k
         if len(num) < 2 * k + 1:
             # Every minor the terms reach has a zero first row.
             break
-        c = Fraction(num[k], den)
-        acc *= c ** (k + 1) * (-1) ** (k * (k + 1) // 2) if k else c
+        c = num[k] ** (k + 1) * (-1) ** (k * (k + 1) // 2) if k else num[k]
+        if type(acc) is int:
+            acc = _ratio(acc * c, den ** (k + 1))
+        else:
+            acc *= Fraction(c, den ** (k + 1))
         values.append(acc)
-    return (values + [Fraction(0)] * count)[:count]
+    return (values + [0] * count)[:count]
 
 
 # The certificate works mod the Mersenne prime 2^61 - 1 with the vector
@@ -270,6 +288,10 @@ def _minors(rows, count):
 _PRIME = (1 << 61) - 1
 _BASE = 0x9E3779B97F4A7C15 % _PRIME
 _BASE_INVERSE = pow(_BASE, -1, _PRIME)
+
+
+def _times(x, y):
+    return x * y % _PRIME
 
 
 def _residue(x):
@@ -308,18 +330,31 @@ def _certify(terms, sigma, n):
     Returns False, having checked nothing, when a residue that must be a
     unit (a row denominator, a pivot numerator, a denominator of a term)
     is 0 mod the prime.
+
+    The entries of U are read as they are: each row's dot product with v
+    is reduced once mod the prime, and the units are inverted together,
+    by one inverse of their product.
     """
-    v = [pow(_BASE, j, _PRIME) for j in range(n)]
+    v = list(accumulate(repeat(_BASE, n - 1), _times, initial=1))
     hv = _hankel_times(terms, v)
-    rows = [[c % _PRIME for c in num[: n - k]] for k, (num, _) in enumerate(sigma[:n])]
-    dens = [den % _PRIME for _, den in sigma[:n]]
-    if hv is None or 0 in dens or any(row[0] == 0 for row in rows):
+    units = [num[0] * den % _PRIME for num, den in sigma[:n]]
+    if hv is None or 0 in units:
         return False
+    # The inverse of every unit from one inverse of their product
+    # (Montgomery's trick): inverse_k = prefix_k / prefix_(k+1).
+    prefix = list(accumulate(units, _times, initial=1))
+    inverse = pow(prefix[-1], -1, _PRIME)
+    inverses = [0] * len(units)
+    for k in range(len(units) - 1, -1, -1):
+        inverses[k] = inverse * prefix[k] % _PRIME
+        inverse = inverse * units[k] % _PRIME
     # (D^-1 U v)_k is sum_j num_k[j] v_(k+j) / num_k[0], and U^T adds it
-    # times num_k[j] / den_k to entry k+j.
+    # times num_k[j] / den_k to entry k+j.  Each dot product is reduced
+    # once; the entries of U are not.
     udu = [0] * n
-    for k, row in enumerate(rows):
-        t = sum(map(mul, row, v[k:])) * pow(row[0] * dens[k], -1, _PRIME) % _PRIME
+    for k, (num, _) in enumerate(sigma[:n]):
+        row = num[: n - k]
+        t = sum(map(mul, row, v[k:])) % _PRIME * inverses[k] % _PRIME
         udu[k:] = [u + c * t for u, c in zip(udu[k:], row)]
     for i in range(n):
         if hv[i] != udu[i] % _PRIME:

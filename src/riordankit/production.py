@@ -66,16 +66,19 @@ def production_matrix(a_rows):
                 continue
             lower, li = cols[i]
             c = lower[i]
-            # P[i][j] = (t / den) / (c / li).
-            p[i][j] = _ratio(t * li, den * c)
             g = gcd(t, c)
             a, b = c // g, t // g
             if a < 0:
                 a, b = -a, -b
             den *= a
-            res[i + 1 :] = [
-                a * x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])
-            ]
+            # P[i][j] = (t / den) / (c / li) = b li / (a den), over the new den.
+            p[i][j] = _ratio(b * li, den)
+            if a == 1:
+                res[i + 1 :] = [x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])]
+            else:
+                res[i + 1 :] = [
+                    a * x - b * y for x, y in zip(res[i + 1 :], lower[i + 1 : n])
+                ]
     return p
 
 

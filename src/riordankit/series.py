@@ -38,29 +38,44 @@ def _integer_row(values):
     all ints as they are over 1, anything but an int or a Fraction read
     through ``Fraction``."""
     terms = list(values)
-    if all(type(v) is int for v in terms):
+    if set(map(type, terms)) == {int}:
         return terms, 1
-    terms = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in terms]
-    den = lcm(*(v.denominator for v in terms))
-    return [v.numerator * (den // v.denominator) for v in terms], den
+    pairs = [
+        (v, 1) if type(v) is int else
+        (v if type(v) is Fraction else Fraction(v)).as_integer_ratio()
+        for v in terms
+    ]
+    den = lcm(*[d for _, d in pairs])
+    return [n if d == den else n * (den // d) for n, d in pairs], den
 
 
 def _ratio(t, d):
     """t / d for ints t and d != 0: an int where it divides, else one Fraction."""
     if d == 1:
         return t
-    return Fraction(t, d) if t % d else t // d
+    q, r = divmod(t, d)
+    return Fraction(t, d) if r else q
 
 
 def _normal(num, den):
-    """num / den as (tuple of ints, den > 0) with one gcd taken out."""
+    """num / den as (ints, den > 0) with gcd(den, *num) taken out: num
+    itself when that gcd is 1 and den > 0, else a new list.
+
+    The gcd g of den and the first three entries is a multiple of that
+    content, and it is the content when g divides every entry.  The floor
+    quotients by g leave remainders that all have the sign of g, so they
+    all vanish exactly when sum(num) = g * sum(quotients).  Only a
+    remainder falls back to the gcd of all entries."""
+    g = gcd(den, *num[:3])
     if den < 0:
-        num, den = [-c for c in num], -den
-    if den != 1:
-        g = gcd(den, *num)
-        if g != 1:
-            num, den = [c // g for c in num], den // g
-    return tuple(num), den
+        g = -g
+    if g == 1:
+        return num, den
+    quotients = [c // g for c in num]
+    if g * sum(quotients) != sum(num):
+        g = gcd(g, *num) if g > 0 else -gcd(g, *num)
+        quotients = [c // g for c in num]
+    return quotients, den // g
 
 
 def _powers(b, n):
@@ -138,12 +153,14 @@ class Series:
     __slots__ = ("num", "den")
 
     def __init__(self, coeffs):
-        self.num, self.den = _normal(*_integer_row(coeffs))
+        num, self.den = _normal(*_integer_row(coeffs))
+        self.num = tuple(num)
 
     @classmethod
     def _make(cls, num, den):
         out = cls.__new__(cls)
-        out.num, out.den = _normal(num, den)
+        num, out.den = _normal(num, den)
+        out.num = tuple(num)
         return out
 
     @property
