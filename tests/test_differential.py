@@ -189,12 +189,54 @@ def moment_terms(rng, kind, length):
     return [Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(length)]
 
 
-def test_integer_row_engine_matches_the_fraction_oracle():
-    rng = random.Random(8)
-    stops = set()
+def engine_inputs(rng):
+    """Terms for the moment pass: 240 short ones of every kind of
+    ``moment_terms``, then inputs as long as the benchmark's longest (129
+    terms): the families at r = 1, 3 and 8, random digits 1-9 as in the
+    benchmark's random pool, moments of a few atoms, and Fractions."""
     for _ in range(240):
         length = rng.choice((0, 1, 2, rng.randint(3, 24)))
-        a = moment_terms(rng, rng.randrange(4), length)
+        yield moment_terms(rng, rng.randrange(4), length)
+    for name in ("catalan", "central", "sum"):
+        for r in (1, 3, 8):
+            yield sequences.family_terms(name, 129, r)
+    for length in (33, 65, 129):
+        yield [rng.randint(1, 9) for _ in range(length)]
+        yield moment_terms(rng, 1, length)
+        yield moment_terms(rng, 3, length)
+
+
+def pass_branches(rows, steps):
+    """The kinds of step the moment pass took: a J-fraction step (k = 0)
+    with q1 = 1 or with q1 != 1, a block step (k >= 1), and a J-fraction
+    row update whose content the gcd of its scale D q1 and its first three
+    entries overshoots, so that a remainder shows and the full gcd runs.
+    Each row update is rebuilt from the rows and checked against the next
+    row on the way."""
+    seen = set()
+    low = [1] + [0] * len(rows[0][0])
+    for j, (q, g, _, _) in enumerate(steps):
+        num, den = rows[j]
+        if len(q) > 2:
+            seen.add("block step")
+        else:
+            seen.add("q1 = 1" if q[1] == 1 else "q1 != 1")
+            kp = next(i for i, c in enumerate(low) if c)
+            nxt = [q[1] * x + q[0] * y - g * z for x, y, z in zip(num[2:], num[1:], low[kp + 2 :])]
+            if j + 1 < len(rows):
+                after, after_den = rows[j + 1]
+                assert [x * after_den for x in nxt] == [y * den * q[1] for y in after]
+            scale = den * q[1]
+            if nxt and gcd(scale, *nxt[:3]) != gcd(scale, *nxt):
+                seen.add("content past three entries")
+        low = num
+    return seen
+
+
+def test_integer_row_engine_matches_the_fraction_oracle():
+    rng = random.Random(8)
+    branches = set()
+    for a in engine_inputs(rng):
         rows, steps = hankel._chebyshev(a)
         for num, den in rows:
             assert den > 0 and gcd(den, *num) == 1, (a, num, den)
@@ -204,9 +246,57 @@ def test_integer_row_engine_matches_the_fraction_oracle():
             for q, g, d, e in steps
         ]
         assert repr((fractions, ratios)) == repr(fraction_chebyshev(a)), a
-        # Passes with and without a block step over vanishing minors.
-        stops.add(any(len(q) > 2 for q, *_ in steps))
-    assert stops == {True, False}
+        branches |= pass_branches(rows, steps)
+    assert branches == {"q1 = 1", "q1 != 1", "block step", "content past three entries"}
+
+
+def reader_entries(a):
+    """(reader, entries, expected type or None for int where integral) for
+    every reader of the moment pass at the largest size the terms allow;
+    a reader that raises (a vanishing minor) gives nothing."""
+    n, windows = (len(a) + 1) // 2, len(a) // 2
+    integral_terms = all(type(v) is int for v in a)
+    readers = [
+        ("ldl.l", lambda: [v for row in hankel.ldl(hankel.hankel_matrix(a, n)).l for v in row]),
+        ("ldl.d", lambda: hankel.ldl(hankel.hankel_matrix(a, n)).d),
+        ("bm_triangle", lambda: [v for row in berlekamp.bm_triangle(a, windows) for v in row]),
+        ("char_poly", lambda: berlekamp.char_poly(a, windows)),
+        (
+            "production_matrix",
+            lambda: [
+                v
+                for row in production.production_matrix(hankel.ldl(hankel.hankel_matrix(a, n)).l)
+                for v in row
+            ],
+        ),
+    ] + [
+        (method, functools.partial(hankel.hankel_transform, a, n, method))
+        for method in METHODS
+    ]
+    for name, read in readers:
+        try:
+            entries = read()
+        except (InsufficientTerms, SingularLeadingMinor, SingularSystem, ValueError):
+            continue
+        if name == "ldl.d":
+            yield name, entries, Fraction
+        elif name in METHODS:
+            yield name, entries, int if integral_terms else Fraction
+        else:
+            yield name, entries, None
+
+
+def test_readers_of_the_moment_pass_give_ints_where_integral():
+    rng = random.Random(8)
+    kinds = {}
+    for a in engine_inputs(rng):
+        for name, entries, expected in reader_entries(a):
+            for v in entries:
+                want = expected or (int if Fraction(v).denominator == 1 else Fraction)
+                assert type(v) is want, (name, a)
+                kinds.setdefault(name, set()).add(type(v))
+    names = ("ldl.l", "bm_triangle", "char_poly", "production_matrix", *METHODS)
+    assert kinds == {"ldl.d": {Fraction}, **{name: {int, Fraction} for name in names}}
 
 
 def test_moment_pass_stops_after_the_first_vanishing_minor():

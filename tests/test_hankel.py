@@ -228,13 +228,17 @@ def test_transform_paths_disagreeing_is_a_cross_check_failure(monkeypatch):
 
 
 def corrupted_engine(k, j):
-    """The moment pass with sigma_(k,k+j) raised by one."""
+    """The moment pass with sigma_(k,k+j) raised by one, or with the
+    denominator of row k raised by one when j is None."""
     engine = hankel._chebyshev
 
     def corrupt(a, **options):
         rows, steps = engine(a, **options)
         num, den = rows[k]
-        rows[k] = (num[:j] + [num[j] + den] + num[j + 1 :], den)
+        if j is None:
+            rows[k] = (num, den + 1)
+        else:
+            rows[k] = (num[:j] + [num[j] + den] + num[j + 1 :], den)
         return rows, steps
 
     return corrupt
@@ -248,10 +252,11 @@ def corrupted_engine(k, j):
     ],
 )
 def test_certificate_rejects_every_single_corrupted_moment(monkeypatch, terms):
-    # The transform of order 6 reads sigma_(k,l) for k <= l < 6 only.
+    # The transform of order 6 reads sigma_(k,l) for k <= l < 6 only, and
+    # the denominators of rows 0..5.
     count = 6
     for k in range(count):
-        for j in range(count - k):
+        for j in [*range(count - k), None]:
             monkeypatch.setattr(hankel, "_chebyshev", corrupted_engine(k, j))
             with pytest.raises(CrossCheckFailed):
                 hankel.hankel_transform(terms, count, method="spot")
