@@ -6,6 +6,8 @@ Output conventions
   rendered as a decimal string (integers) or ``p/q`` (rationals) so consumers
   never face big-integer overflow or floats.
 * CSV is a header row plus data rows, LF line endings.
+* ``_emit`` is the one writer of stdout: every handler builds its JSON
+  record once and passes its CSV lines as tuples over the same strings.
 * Exit codes: 0 success / all checks pass, 1 internal error or failed
   verification, 2 usage or parameter error, 3 mathematical singularity.
 """
@@ -49,21 +51,19 @@ def canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
-def _emit_json(data) -> None:
-    sys.stdout.write(canonical_json(data))
+def _emit(args, data, header=(), lines=()) -> None:
+    """Print ``data`` as canonical JSON or, with ``--format csv``, the header
+    and one comma-joined line per tuple of ``lines``."""
+    if getattr(args, "format", "json") == "csv":
+        text = "\n".join([",".join(header), *(",".join(map(str, t)) for t in lines)])
+        sys.stdout.write(text + "\n")
+    else:
+        sys.stdout.write(canonical_json(data))
 
 
-def _emit_csv(header, rows) -> None:
-    lines = [",".join(header)]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    sys.stdout.write("\n".join(lines) + "\n")
-
-
-def _emit_rows_csv(rows, header=("n", "k", "value")) -> None:
-    """One CSV line per entry of ragged rows: row index, column index, value."""
-    _emit_csv(
-        header, [(n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row)]
-    )
+def _entries(rows):
+    """Ragged rows as (row index, column index, value) tuples."""
+    return ((n, k, v) for n, row in enumerate(rows) for k, v in enumerate(row))
 
 
 def _str_list(values):
@@ -94,22 +94,14 @@ def positive(text: str) -> int:
 
 
 def cmd_generate(args) -> int:
+    data = {"family": args.family, "r": str(args.r)}
     if args.family == "triangle":
-        rows = sequences.triangle_rows(args.n, args.r)
-        if args.format == "csv":
-            _emit_rows_csv(rows)
-        else:
-            _emit_json(
-                {"family": "triangle", "r": str(args.r), "rows": _str_rows(rows)}
-            )
-        return 0
-    values = sequences.family_terms(args.family, args.n, args.r)
-    if args.format == "csv":
-        _emit_csv(("n", "value"), list(enumerate(values)))
+        data["rows"] = rows = _str_rows(sequences.triangle_rows(args.n, args.r))
+        _emit(args, data, ("n", "k", "value"), _entries(rows))
     else:
-        _emit_json(
-            {"family": args.family, "r": str(args.r), "values": _str_list(values)}
-        )
+        data["values"] = values = _str_list(
+            sequences.family_terms(args.family, args.n, args.r))
+        _emit(args, data, ("n", "value"), enumerate(values))
     return 0
 
 
@@ -172,7 +164,7 @@ def cmd_hankel(args) -> int:
     if method is not None:
         params["method"] = method
     result = result_of(terms, n, method)
-    _emit_json({"input": _str_list(terms), "params": params, "result": result})
+    _emit(args, {"input": _str_list(terms), "params": params, "result": result})
     return 0
 
 
@@ -185,18 +177,13 @@ def cmd_riordan(args) -> int:
         arr = riordan.binomial_power(args.power, order)
     if args.inverse:
         arr = arr.inverse()
-    rows = arr.to_matrix(args.size)
-    if args.format == "csv":
-        _emit_rows_csv(rows)
-    else:
-        params = {
-            "r": str(args.r),
-            "size": str(args.size),
-            "inverse": "true" if args.inverse else "false",
-        }
-        if args.array == "binomial":
-            params["power"] = str(args.power)
-        _emit_json({"array": args.array, "params": params, "rows": _str_rows(rows)})
+    rows = _str_rows(arr.to_matrix(args.size))
+    params = {"r": str(args.r), "size": str(args.size),
+              "inverse": "true" if args.inverse else "false"}
+    if args.array == "binomial":
+        params["power"] = str(args.power)
+    _emit(args, {"array": args.array, "params": params, "rows": rows},
+          ("n", "k", "value"), _entries(rows))
     return 0
 
 
@@ -216,10 +203,9 @@ def cmd_production(args) -> int:
         rows = production_mod.a_p(args.r, args.size).to_matrix(args.size)
     else:
         rows = production_mod.stieltjes_bridge(args.r, args.size)
-    if args.format == "csv":
-        _emit_rows_csv(rows, header)
-    else:
-        _emit_json({"action": args.action, "params": params, "rows": _str_rows(rows)})
+    rows = _str_rows(rows)
+    _emit(args, {"action": args.action, "params": params, "rows": rows},
+          header, _entries(rows))
     return 0
 
 
@@ -228,7 +214,7 @@ def cmd_verify(args) -> int:
 
     scopes = args.scope or ["all"]
     report = verify.run_checks(scopes, args.r_max, args.n_max, parallel=args.parallel)
-    _emit_json(verify.report_data(report))
+    _emit(args, verify.report_data(report))
     return 0 if report.summary["failed"] == 0 else 1
 
 
@@ -248,7 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--r", type=positive, default=1)
     gen.add_argument("--n", type=positive, default=8,
                      help="number of terms (or triangle rows)")
-    gen.add_argument("--format", choices=("json", "csv"), default="json")
     gen.set_defaults(func=cmd_generate)
 
     han = sub.add_parser("hankel", help="Hankel transforms and factorizations")
@@ -276,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     rio.add_argument("--inverse", action="store_true")
     rio.add_argument("--power", type=decimal, default=1,
                      help="integer power of the binomial array")
-    rio.add_argument("--format", choices=("json", "csv"), default="json")
     rio.set_defaults(func=cmd_riordan)
 
     prod = sub.add_parser("production",
@@ -286,7 +270,6 @@ def build_parser() -> argparse.ArgumentParser:
                       default=None, help="source array for 'matrix'")
     prod.add_argument("--r", type=positive, default=1)
     prod.add_argument("--size", type=positive, default=4)
-    prod.add_argument("--format", choices=("json", "csv"), default="json")
     prod.set_defaults(func=cmd_production)
 
     ver = sub.add_parser("verify", help="run the identity-check suite")
@@ -297,6 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--parallel", action="store_true")
     ver.set_defaults(func=cmd_verify)
 
+    # Added last, so that each --help lists it after every other option.
+    for table in (gen, rio, prod):
+        table.add_argument("--format", choices=("json", "csv"), default="json")
     return parser
 
 

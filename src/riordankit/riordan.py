@@ -441,8 +441,8 @@ def _rational_series(num, m, q, order: int):
 
 
 def _rational_rows(num, m, q, dim):
-    """The first dim rows of (num/q, x m/q), for m = 1 or 1 - x and q of at
-    most three terms.  Column 0 is num/q and column k is x m/q times column
+    """The first dim rows of (num/q, x m/q), for m of at most two terms and
+    q of at most three.  Column 0 is num/q and column k is x m/q times column
     k-1, so with c = q[0] the ints U(n, k) = c^(n+1) T(n, k) obey
 
         U(n,k) = U(n-1,k-1) + m_1 c U(n-2,k-1) - q_1 U(n-1,k) - q_2 c U(n-2,k)

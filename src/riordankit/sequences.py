@@ -15,13 +15,14 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from . import series
+from . import riordan, series
 from .errors import IndexOutOfTriangle, NonIntegerResult, UnsupportedParameter
 
 
 def _t_sum(n: int, k: int, r: int) -> int:
     # Raw defining sum; empty (hence 0) whenever k > n, which the
-    # Catalan difference relies on at k = n + 1.
+    # Catalan difference relies on at k = n + 1.  It is the oracle of
+    # ``triangle_rows``.
     return sum(comb(k, j) * comb(n - k, j) * r**j for j in range(n - k + 1))
 
 
@@ -33,8 +34,10 @@ def triangle_T(n: int, k: int, r: int) -> int:
 
 
 def triangle_rows(count: int, r: int):
-    """First ``count`` rows of the triangle."""
-    return [[_t_sum(n, k, r) for k in range(n + 1)] for n in range(count)]
+    """First ``count`` rows of the triangle, the rational Riordan array
+    (1/(1-x), x(1 + (r-1)x)/(1-x)), expanded by its column recurrence in
+    O(count^2) int steps."""
+    return riordan._rational_rows((1,), (1, r - 1), (1, -1), count)
 
 
 def central(n: int, r: int) -> int:

@@ -403,6 +403,39 @@ def test_production_csv_rows(capsys):
     ]
 
 
+def table_commands():
+    """Every command that takes --format, at size 5."""
+    for family in cli.GENERATE_FAMILIES:
+        for r in ("1", "3"):
+            yield ["generate", family, "--r", r, "--n", "5"]
+    for array in cli.ARRAY_NAMES:
+        yield ["riordan", array, "--size", "5"]
+        yield ["riordan", array, "--size", "5", "--inverse"]
+    yield ["riordan", "binomial", "--size", "5", "--power", "-2"]
+    for action in ("matrix", "array", "bridge"):
+        yield ["production", action, "--size", "5"]
+
+
+def test_csv_lines_are_the_json_entries(capsys):
+    """The CSV of a command is its JSON's entries in order: ``n,value`` per
+    term, ``n,k,value`` per row entry and ``i,j,value`` per entry of a
+    production matrix."""
+    for argv in table_commands():
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        data = json.loads(out)
+        if "values" in data:
+            lines = ["n,value"] + [f"{n},{v}" for n, v in enumerate(data["values"])]
+        else:
+            lines = ["i,j,value" if argv[1] == "matrix" else "n,k,value"] + [
+                f"{n},{k},{v}"
+                for n, row in enumerate(data["rows"])
+                for k, v in enumerate(row)
+            ]
+        assert run_cli(capsys, *argv, "--format", "csv") == (
+            0, "\n".join(lines) + "\n", ""), argv
+
+
 def test_verify_small_scope(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--scope", "hankel", "--r-max", "1", "--n-max", "2"

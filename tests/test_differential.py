@@ -782,6 +782,16 @@ def test_rule_arrays_invert_to_rational_arrays_and_back():
             riordan.clear_row_store()
 
 
+def test_triangle_rows_match_the_defining_sums():
+    # The rows come from the rational array (1/(1-x), x(1+(r-1)x)/(1-x)),
+    # m = 1 - x at r = 0 and m = 1 at r = 1; triangle_T keeps the sum.
+    for r in range(-2, 9):
+        for count in (0, 1, 2, 3, 40):
+            want = [[sequences.triangle_T(n, k, r) for k in range(n + 1)]
+                    for n in range(count)]
+            assert repr(sequences.triangle_rows(count, r)) == repr(want), (r, count)
+
+
 def test_closed_form_inverses_match_lagrange_reversion():
     # The first n terms of an inverse depend only on the first n terms of
     # the array inverted, so one reversion at INVERSE_ORDER serves every
