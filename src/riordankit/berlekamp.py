@@ -94,11 +94,11 @@ def bm_triangle(a, count: int):
     if count < 0:
         raise ValueError("count must not be negative")
     windows = min(count, len(a) // 2)
-    # The pass stops before the step of a row with leading zeros, so every
-    # step is a J-fraction step and gives one more window.
-    _, steps = _chebyshev(a[: 2 * windows], stop_at_zero=True)
-    solved = len(steps)
-    polys = _orthogonal_polys(steps)
+    # Each J-fraction step gives one more window; the first block step
+    # comes from the first row with leading zeros, the first singular one.
+    steps = _chebyshev(a[: 2 * windows])[1]
+    solved = next((j for j, (q, *_) in enumerate(steps) if len(q) > 2), len(steps))
+    polys = _orthogonal_polys(steps[:solved])
     rows = [[_ratio(-c, den) for c in pi[:-1]] for pi, den in polys]
     if solved < windows:
         raise SingularSystem(solved + 1, partial=rows)
@@ -169,8 +169,9 @@ def coefficient_riordan_check(r: int, count: int):
 
 def _bm_gf(r: int):
     """(num, den) of (r(1+x) + xy) / ((1-xy)(1+(r+1)x+rx^2-xy)) as grids
-    of x-rows for ``series.bivariate_expand``."""
-    return [[r], [r, 1]], series.poly2_mul([[1], [0, -1]], [[1], [r + 1, -1], [r]])
+    of x-rows for ``series.bivariate_expand``, the denominator multiplied
+    out: 1 + (r+1-2y)x + (r-(r+1)y+y^2)x^2 - ryx^3."""
+    return [[r], [r, 1]], [[1], [r + 1, -2], [r, -r - 1, 1], [0, -r]]
 
 
 def bm_gf_check(r: int, count: int):

@@ -8,11 +8,11 @@ of every Hankel matrix with nonzero leading minors, and the monic
 orthogonal polynomials.  The pass runs on int numerators over one
 denominator per row, in the layout of FLINT's ``fmpq_poly``.  The default
 ``spot`` transform certifies it in O(n^2) mod a 61-bit prime, and falls
-back to the pivots of one fraction-free Bareiss elimination, the
-independent exact route, when the prime divides a pivot or a denominator.
-A symmetric matrix that is not Hankel is factored off the pivots of one
-swap-free Bareiss pass (``linalg._pivots``).  The per-order
-``bareiss_det`` stays public as an oracle.
+back to the pivots of one swap-free Bareiss pass (``linalg._pivots``),
+the independent exact route whose pivots are the leading minors, when the
+prime divides a pivot or a denominator.  A symmetric matrix that is not
+Hankel is factored off the same pass.  The per-order ``bareiss_det``
+stays public as an oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +24,7 @@ from operator import mul
 
 from . import riordan
 from .errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
-from .linalg import (
-    _eliminate, _pivots, as_int, bareiss_det, mat_mul, pad_square, transpose
-)
+from .linalg import _pivots, as_int, bareiss_det, mat_mul, pad_square, transpose
 from .series import _integer_row, _normal, _ratio
 
 __all__ = [
@@ -76,7 +74,7 @@ class LDLDecomp:
         return mat_mul(ld, transpose(l))
 
 
-def _chebyshev(a, *, stop_at_zero=False):
+def _chebyshev(a):
     """Chebyshev's algorithm on the terms a_0..a_(N-1) read as moments,
     carried through vanishing leading minors as Han's H-fraction.
 
@@ -118,16 +116,16 @@ def _chebyshev(a, *, stop_at_zero=False):
     J-fraction with integer alpha_j and beta_j, such as the Catalan and
     central families, the step is then ((-alpha_j, 1), beta_j, 1, 1), so
     q1 = 1 on every step.  The pass ends when the terms no longer
-    determine a step (N - 2 s_j < 2k + 2) or the next row would be empty,
-    and with ``stop_at_zero`` right after the first row with a leading
-    zero, the first vanishing minor, for callers that fail there.
+    determine a step (N - 2 s_j < 2k + 2) or the next row would be empty.
+    A caller that fails at the first vanishing minor stops reading at the
+    first row with a leading zero, whose step is the first with len(Q) > 2.
     """
     num, den = _integer_row(a)
     rows, steps = [(num, den)], []
     low, low_den, kp = [1] + [0] * len(num), 1, 0
     while True:
         k = _leading_zeros(num)
-        if len(num) < 2 * k + 2 or k and stop_at_zero:
+        if len(num) < 2 * k + 2:
             return rows, steps
         c = num[k]
         if k:
@@ -188,7 +186,7 @@ def ldl(h) -> LDLDecomp:
                 if h[i][j] != h[j][i]:
                     raise ValueError("matrix is not symmetric")
         return _ldl_dense(h)
-    rows = _chebyshev(terms, stop_at_zero=True)[0][:n]
+    rows = _chebyshev(terms)[0][:n]
     for k, (num, _) in enumerate(rows):
         if num[0] == 0:
             raise SingularLeadingMinor(k)
@@ -242,19 +240,18 @@ def hankel_transform(a, count: int, method: str = "spot"):
     if method not in ("ldl", "bareiss", "both", "spot"):
         raise ValueError(f"unknown method {method!r}")
     terms = a[: 2 * count - 1]
-    rows, _ = _chebyshev(terms, stop_at_zero=method != "bareiss")
+    rows, _ = _chebyshev(terms)
     values = _minors(rows, count)
     if method != "bareiss" and 0 in values:
         raise SingularLeadingMinor(values.index(0))
     if method in ("both", "spot") and not _certify(terms, rows, count):
-        # No leading minor vanishes, so the Bareiss pass never swaps.
-        h = hankel_matrix(a, count)
-        _eliminate(h, count)
-        for n in range(count):
-            if h[n][n] != values[n]:
+        # The pivots end at the first zero one, which no value matches.
+        pivots = _pivots(hankel_matrix(a, count))
+        for n, (pivot, value) in enumerate(zip(pivots, values)):
+            if pivot != value:
                 raise CrossCheckFailed(
                     f"determinant paths disagree at order {n}: "
-                    f"{values[n]} (LDL) vs {h[n][n]} (Bareiss)"
+                    f"{value} (LDL) vs {pivot} (Bareiss)"
                 )
     if all(isinstance(v, int) for v in terms):
         return [as_int(v) for v in values]

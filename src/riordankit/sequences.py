@@ -8,6 +8,8 @@ The central object is the two-parameter triangle
 it: central coefficients T(2n, n; r), the generalized Catalan numbers
 c(n; r) = T(2n, n; r) - T(2n, n+1; r), sums of adjacent Catalan terms, and
 the companion sequences whose values show up as Hankel determinants.
+``family_terms`` builds each family's list by the recurrence of its
+generating function; the per-term functions keep the definitions.
 """
 
 from __future__ import annotations
@@ -16,7 +18,9 @@ from fractions import Fraction
 from math import comb
 
 from . import riordan, series
-from .errors import IndexOutOfTriangle, NonIntegerResult, UnsupportedParameter
+from .errors import (
+    CrossCheckFailed, IndexOutOfTriangle, NonIntegerResult, UnsupportedParameter
+)
 
 
 def _t_sum(n: int, k: int, r: int) -> int:
@@ -108,12 +112,7 @@ def gen_pell(n: int, r: int) -> int:
     """Coefficient of x^n in 1/(1 - rx - x^2)."""
     if n < 0:
         raise UnsupportedParameter("n must be nonnegative")
-    prev, cur = 1, r
-    if n == 0:
-        return 1
-    for _ in range(n - 1):
-        prev, cur = cur, r * cur + prev
-    return cur
+    return family_terms("pell", n + 1, r)[n]
 
 
 def bessel_moments(n: int, r: int) -> int:
@@ -130,11 +129,7 @@ def interleaved_pell(n: int) -> int:
     """Coefficient of x^n in (1 + 3x - x^2 - x^3) / (1 - 6x^2 + x^4)."""
     if n < 0:
         raise UnsupportedParameter("n must be nonnegative")
-    expansion = series.rational([1, 3, -1, -1], [1, 0, -6, 0, 1], n + 1)
-    value = expansion[n]
-    if value.denominator != 1:
-        raise NonIntegerResult(f"term {n} expanded to {value}")
-    return value.numerator
+    return family_terms("interleaved", n + 1)[n]
 
 
 def closed_ht(kind: str, n: int, r: int) -> int:
@@ -170,23 +165,43 @@ def closed_ht_sum_r2_variant(n: int) -> int:
     return value.numerator
 
 
-_FAMILIES = {
-    "central": central,
-    "catalan": gen_catalan,
-    "sum": catalan_sum,
-    "b": b_seq,
-    "pell": gen_pell,
-    "bessel": bessel_moments,
-    "interleaved": lambda n, r: interleaved_pell(n),
-}
+FAMILY_NAMES = ("central", "catalan", "sum", "b", "pell", "bessel", "interleaved")
 
-FAMILY_NAMES = tuple(_FAMILIES)
+
+def _recurrences(r: int):
+    """The first terms of every family but ``sum``, and its step
+    n -> (top, bottom) with a_n = top / bottom, from the recurrence of its
+    generating function."""
+    s = (r - 1) ** 2
+    return {
+        "central": ((1, r + 1), lambda n, a: (
+            (2 * n - 1) * (r + 1) * a[-1] - (n - 1) * s * a[-2], n)),
+        "catalan": ((1, r), lambda n, a: (
+            (2 * n - 1) * (r + 1) * a[-1] - (n - 2) * s * a[-2], n + 1)),
+        "b": ((1, r + 1), lambda n, a: ((r + 2) * a[-1] - r * a[-2], 1)),
+        "pell": ((1, r), lambda n, a: (r * a[-1] + a[-2], 1)),
+        "bessel": ((1, 0), lambda n, a: (4 * (n - 1) * r * a[-2], n)),
+        "interleaved": ((1, 3, 5, 17), lambda n, a: (6 * a[-2] - a[-4], 1)),
+    }
 
 
 def family_terms(name: str, count: int, r: int = 1):
-    """First ``count`` terms of a named one-parameter family."""
-    try:
-        fn = _FAMILIES[name]
-    except KeyError:
-        raise ValueError(f"unknown family {name!r}") from None
-    return [fn(n, r) for n in range(count)]
+    """First ``count`` terms of a named one-parameter family, by the
+    recurrence of its generating function in O(count) small-by-big
+    products; ``sum`` adds adjacent terms of one ``catalan`` list.  The
+    per-term functions are the definitions, and the oracles of the lists.
+    A step whose division leaves a remainder raises CrossCheckFailed."""
+    if name not in FAMILY_NAMES:
+        raise ValueError(f"unknown family {name!r}")
+    if name == "sum":
+        c = family_terms("catalan", count + 1, r)
+        return [x + y for x, y in zip(c, c[1:])]
+    first, step = _recurrences(r)[name]
+    a = list(first[: max(count, 0)])
+    for n in range(len(a), count):
+        top, bottom = step(n, a)
+        term, rest = divmod(top, bottom)
+        if rest:
+            raise CrossCheckFailed(f"{name} term {n} is {top}/{bottom}, not an int")
+        a.append(term)
+    return a

@@ -335,27 +335,6 @@ class BivariateTable(namedtuple("BivariateTable", "rows order_x")):
     __slots__ = ()
 
 
-def poly2_mul(a, b):
-    """Product of two bivariate polynomials given as grids of x-rows.
-
-    Row k of the product is as long as the longest product of two nonempty
-    rows a[i] and b[k - i], as the exact product of the y-polynomials."""
-    widths = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            if ai and bj:
-                widths[i + j] = max(widths[i + j], len(ai) + len(bj) - 1)
-    # At the widest product's order every product is exact.
-    size = max(widths, default=0)
-    a = [poly(row, size) for row in a]
-    b = [poly(row, size) for row in b]
-    rows = [poly((), size)] * len(widths)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            rows[i + j] += ai * bj
-    return [list(row[:w]) for row, w in zip(rows, widths)]
-
-
 def bivariate_expand(num, den, order_x: int) -> BivariateTable:
     """Expand num(x,y)/den(x,y) as a coefficient triangle in x and y.
 

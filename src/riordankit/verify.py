@@ -15,6 +15,7 @@ Results are sorted by id, so the report is the same with ``--parallel``.
 
 from __future__ import annotations
 
+import os
 import random
 from collections import namedtuple
 from fractions import Fraction
@@ -824,10 +825,12 @@ def run_checks(scopes, r_max: int, n_max: int, parallel: bool = False) -> Verify
         raise ValueError("r_max and n_max must be at least 1")
     jobs = [(name, r_max, n_max) for name, (scope, _) in _REGISTRY.items()
             if scope in wanted]
-    if parallel:
+    if parallel and jobs:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor() as pool:
+        # At most one worker per check: a fork pool starts every worker.
+        workers = min(len(jobs), os.cpu_count() or 1)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             batches = list(pool.map(_invoke, jobs))
     else:
         batches = list(map(_invoke, jobs))

@@ -150,9 +150,9 @@ def test_characteristic_rows_take_one_moment_pass(monkeypatch):
     calls = []
     chebyshev = berlekamp._chebyshev
 
-    def spy(a, **options):
+    def spy(a):
         calls.append(len(a))
-        return chebyshev(a, **options)
+        return chebyshev(a)
 
     monkeypatch.setattr(berlekamp, "_chebyshev", spy)
     berlekamp.coefficient_riordan_check(3, 12)
@@ -184,9 +184,24 @@ def test_generating_function_rows_directly():
     # Independent expansion of (r(1+x) + xy) / ((1-xy)(1+(r+1)x+rx^2-xy))
     # at r = 1 against the reference rows.
     num = [[1], [1, 1]]
-    den = series.poly2_mul([[1], [0, -1]], [[1], [2, -1], [1]])
+    den = [[1], [2, -2], [1, -2, 1], [0, -1]]
     table = series.bivariate_expand(num, den, 4)
     assert table.rows == [[1], [-1, 3], [1, -6, 5], [-1, 10, -15, 7]]
+
+
+def test_generating_function_denominator_is_the_product():
+    # Degree <= 3 in x and <= 2 in y: 4 x 3 points decide the identity.
+    for r in range(1, 9):
+        _, den = berlekamp._bm_gf(r)
+        for x in range(4):
+            for y in range(3):
+                grid = sum(
+                    c * x**i * y**j
+                    for i, row in enumerate(den)
+                    for j, c in enumerate(row)
+                )
+                product = (1 - x * y) * (1 + (r + 1) * x + r * x**2 - x * y)
+                assert grid == product, (r, x, y)
 
 
 def test_solver_against_cramers_rule():

@@ -370,6 +370,24 @@ def test_failed_cross_check_exits_one_without_a_traceback(capsys, monkeypatch):
     assert "Traceback" not in err
 
 
+def test_family_step_with_a_remainder_exits_one(capsys, monkeypatch):
+    # A catalan step off by one leaves a remainder at n = 2 (bottom 3).
+    recurrences = sequences._recurrences
+
+    def planted(r):
+        table = recurrences(r)
+        first, step = table["catalan"]
+        table["catalan"] = first, lambda n, a: (step(n, a)[0] + 1, step(n, a)[1])
+        return table
+
+    monkeypatch.setattr(sequences, "_recurrences", planted)
+    with pytest.raises(riordankit.errors.CrossCheckFailed, match="catalan term 2"):
+        sequences.family_terms("catalan", 5, 3)
+    code, out, err = run_cli(capsys, "generate", "catalan", "--r", "3", "--n", "5")
+    assert (code, out) == (1, "")
+    assert err == "error: catalan term 2 is 37/3, not an int\n"
+
+
 def test_production_csv_rows(capsys):
     code, out, _ = run_cli(
         capsys, "production", "matrix", "--array", "ap", "--r", "2", "--size", "3",

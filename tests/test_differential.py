@@ -10,8 +10,9 @@ production rules and closed-form inverses, the products' matrix
 products of their factors, the binomial products' shifted rules against
 the matrix product, and the actions on sequences by rows, against the
 series expansion, the Lagrange inverse and d * (f o h) of the same
-(d, h), and the binomial transform against its sums of binomial
-coefficients.
+(d, h), the binomial transform against its sums of binomial
+coefficients, and the family lists by their recurrences against the
+per-term definitions.
 Values must be equal, and where a route promises an int for an integral
 entry, so must the entry types; errors must agree in type, message,
 order/index and partial result."""
@@ -299,24 +300,45 @@ def test_readers_of_the_moment_pass_give_ints_where_integral():
     assert kinds == {"ldl.d": {Fraction}, **{name: {int, Fraction} for name in names}}
 
 
-def test_moment_pass_stops_after_the_first_vanishing_minor():
-    # With stop_at_zero the pass is a prefix of the full one that ends
-    # with the first row with a leading zero and takes no step from it.
+def first_zero_row(a):
+    """Index of the first row with a leading zero in the moment pass over
+    the terms, the first vanishing minor, or None."""
+    rows = hankel._chebyshev(a)[0]
+    return next((j for j, (num, _) in enumerate(rows) if num[:1] == [0]), None)
+
+
+def test_readers_stop_at_the_first_vanishing_minor():
+    # The moment pass runs through vanishing minors; ldl, the failing
+    # transform methods and bm_triangle each stop at its first row with a
+    # leading zero, with the index, message and partial rows of a pass
+    # stopped there, and the same error as the per-window solves.
     rng = random.Random(2020)
+    inputs = [
+        moment_terms(rng, rng.randrange(6), rng.randint(1, 33)) for _ in range(240)
+    ]
     stopped = 0
-    for _ in range(240):
-        a = moment_terms(rng, rng.randrange(6), rng.randint(1, 33))
-        rows, steps = hankel._chebyshev(a)
-        first = next((j for j, (num, _) in enumerate(rows) if num[:1] == [0]), None)
-        short = hankel._chebyshev(a, stop_at_zero=True)
+    for a in inputs + [[0] + [1, -2, 3] * 100]:
+        n, windows = (len(a) + 1) // 2, len(a) // 2
+        first = first_zero_row(a[: 2 * n - 1])
         if first is None:
-            assert short == (rows, steps), a
+            minor = ("value",)
         else:
             stopped += 1
-            assert short == (rows[: first + 1], steps[:first]), a
+            error = SingularLeadingMinor(first)
+            minor = (SingularLeadingMinor, str(error), None, first, None)
+        got = outcome(hankel.ldl, hankel.hankel_matrix(a, n))
+        assert got[: len(minor)] == minor, a
+        for method in ("ldl", "both", "spot"):
+            got = outcome(hankel.hankel_transform, a, n, method)
+            assert got[: len(minor)] == minor, (a, method)
+        first = first_zero_row(a[: 2 * windows])
+        got = outcome(berlekamp.bm_triangle, a, windows)
+        assert got == outcome(per_window_triangle, a, windows), a
+        if first is None:
+            assert got[0] == "value", a
+        else:
+            assert got[2] == first + 1 and len(got[4]) == first, a
     assert stopped > 0
-    rows, steps = hankel._chebyshev([0] + [1, -2, 3] * 100, stop_at_zero=True)
-    assert len(rows) == 1 and steps == []
 
 
 def window_char_poly(a, d):
@@ -790,6 +812,37 @@ def test_triangle_rows_match_the_defining_sums():
             want = [[sequences.triangle_T(n, k, r) for k in range(n + 1)]
                     for n in range(count)]
             assert repr(sequences.triangle_rows(count, r)) == repr(want), (r, count)
+
+
+PER_TERM = {
+    "central": sequences.central,
+    "catalan": sequences.gen_catalan,
+    "sum": sequences.catalan_sum,
+    "b": sequences.b_seq,
+    "pell": sequences.gen_pell,
+    "bessel": sequences.bessel_moments,
+    "interleaved": lambda n, r: sequences.interleaved_pell(n),
+}
+
+
+def test_family_lists_match_the_per_term_definitions():
+    # The lists come from the recurrences of the generating functions;
+    # gen_pell and interleaved_pell read the lists, so both are checked
+    # against their rational generating functions as well.
+    assert tuple(PER_TERM) == sequences.FAMILY_NAMES
+    counts = (0, 1, 2, 3, 200)
+    for r in range(-2, 9):
+        for count in counts:
+            for name, term in PER_TERM.items():
+                want = [term(n, r) for n in range(count)]
+                got = sequences.family_terms(name, count, r)
+                assert repr(got) == repr(want), (name, r, count)
+            pell = series.rational([1], [1, -r, -1], count + 1)[:count]
+            assert sequences.family_terms("pell", count, r) == list(pell), (r, count)
+    for count in counts:
+        interleaved = series.rational([1, 3, -1, -1], [1, 0, -6, 0, 1], count + 1)
+        got = sequences.family_terms("interleaved", count)
+        assert got == list(interleaved[:count]), count
 
 
 def test_closed_form_inverses_match_lagrange_reversion():

@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import copy
 import hashlib
 import json
+import os
 
 import pytest
 
@@ -61,6 +63,37 @@ def test_scope_reports_merge_to_the_full_report(r_max, n_max):
 def test_parallel_report_equals_serial():
     serial = verify.run_checks(["all"], 4, 8)
     assert verify.run_checks(["all"], 4, 8, parallel=True) == serial
+
+
+class SerialPool:
+    """A stand-in for ProcessPoolExecutor that records its worker count
+    and maps in this process."""
+
+    workers = []
+
+    def __init__(self, max_workers=None):
+        self.workers.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, jobs):
+        return map(fn, jobs)
+
+
+@pytest.mark.parametrize("cpus, workers", [(64, 21), (None, 1)])
+def test_parallel_starts_at_most_one_worker_per_check(monkeypatch, cpus, workers):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(SerialPool, "workers", [])
+    serial = verify.run_checks(["all"], 4, 8)
+    assert verify.run_checks(["all"], 4, 8, parallel=True) == serial
+    # No check, no pool.
+    assert verify.run_checks([], 4, 8, parallel=True).checks == []
+    assert SerialPool.workers == [workers]
 
 
 @pytest.mark.parametrize("r_max, n_max", [(0, 8), (4, 0), (-1, -1)])
