@@ -7,9 +7,9 @@ For a sequence a and window size d, solve
 with H_d the d x d Hankel block.  Row n of the recurrence triangle is the
 solution at window n+1.  The triangle, the monic characteristic
 polynomial, the companion matrix, and two cross-checks against Riordan
-machinery all read it off the moment pass of ``hankel._chebyshev``, which
-runs through vanishing minors, so a window after a singular one is read
-off it too.  ``solve_bm`` solves one window by elimination, as the oracle.
+machinery read it off the steps of the moment pass (``hankel._chebyshev``)
+as they come; ``char_poly`` reads on through vanishing minors, and
+``solve_bm`` solves one window by elimination, as the oracle.
 """
 
 from __future__ import annotations
@@ -38,18 +38,16 @@ def solve_bm(a, d: int):
 
 
 def _orthogonal_polys(steps):
-    """The monic orthogonal polynomials pi_(s_1), pi_(s_2), ... that the
-    steps (Q, g, D, E) of the moment pass give, by M = Q[-1] and
+    """Yields the monic orthogonal polynomials pi_(s_1), pi_(s_2), ... that
+    the steps (Q, g, D, E) of the moment pass give, by M = Q[-1] and
     D M pi_(s_(j+1)) = D Q(x) pi_(s_j) - g E pi_(s_(j-1)), each as ascending
     int numerators over one positive denominator (the last numerator),
     with one gcd taken out per polynomial.
 
     A J-fraction step, Q = (q0, q1), is one pass over the coefficients,
     (q1 x + q0) pi_(s_j) - g pi_(s_(j-1)), without the multiplication by
-    q1 when q1 = 1, as on every step of an integer J-fraction.  The gcd is
-    ``series._normal``'s: found from the first three coefficients and
-    confirmed by one exact division of each."""
-    polys = []
+    q1 when q1 = 1, as on every step of an integer J-fraction, and the gcd
+    is found by ``series._normal``."""
     before, before_den = (), 1
     pi, den = (1,), 1
     for q, g, d, e in steps:
@@ -75,8 +73,7 @@ def _orthogonal_polys(steps):
             nxt[: len(before)] = [v - g * x for v, x in zip(nxt, before)]
         before, before_den = pi, den
         pi, den = _normal(nxt, nxt[-1])
-        polys.append((pi, den))
-    return polys
+        yield pi, den
 
 
 def bm_triangle(a, count: int):
@@ -87,21 +84,23 @@ def bm_triangle(a, count: int):
 
     The characteristic polynomial of window d is the monic orthogonal
     polynomial pi_d of the moment pass, so row d-1 is -(the coefficients of
-    pi_d below x^d).  The rows stop at the first vanishing leading minor,
-    which is the first singular window.  An entry is an int where its value
-    is an integer and a Fraction otherwise.
+    pi_d below x^d).  Each J-fraction step of the pass gives one more
+    window, and the pass stops at the first block step, whose row has the
+    first leading zero: the first vanishing leading minor, which is the
+    first singular window.  An entry is an int where its value is an
+    integer and a Fraction otherwise.
     """
     if count < 0:
         raise ValueError("count must not be negative")
     windows = min(count, len(a) // 2)
-    # Each J-fraction step gives one more window; the first block step
-    # comes from the first row with leading zeros, the first singular one.
-    steps = _chebyshev(a[: 2 * windows])[1]
-    solved = next((j for j, (q, *_) in enumerate(steps) if len(q) > 2), len(steps))
-    polys = _orthogonal_polys(steps[:solved])
-    rows = [[_ratio(-c, den) for c in pi[:-1]] for pi, den in polys]
-    if solved < windows:
-        raise SingularSystem(solved + 1, partial=rows)
+    steps = []
+    for _, step in _chebyshev(a[: 2 * windows]):
+        if step is None or len(step[0]) > 2:
+            break
+        steps.append(step)
+    rows = [[_ratio(-c, den) for c in pi[:-1]] for pi, den in _orthogonal_polys(steps)]
+    if len(rows) < windows:
+        raise SingularSystem(len(rows) + 1, partial=rows)
     if windows < count:
         _window_terms(a, windows + 1)
     return rows
@@ -116,10 +115,11 @@ def char_poly(a, d: int):
     ints where their value is an integer and Fractions otherwise.
     """
     _window_terms(a, d)
-    polys = _orthogonal_polys(_chebyshev(a[: 2 * d])[1])
-    if not polys or len(polys[-1][0]) != d + 1:
+    pi = ()
+    for pi, den in _orthogonal_polys(step for _, step in _chebyshev(a[: 2 * d]) if step):
+        pass
+    if len(pi) != d + 1:
         raise SingularSystem(d)
-    pi, den = polys[-1]
     return [_ratio(c, den) for c in pi]
 
 

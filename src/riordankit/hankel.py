@@ -6,19 +6,20 @@ sequence, Chebyshev's algorithm carried through vanishing minors (Han's
 H-fraction), gives every determinant, zeros included, the LDL^T factors
 of every Hankel matrix with nonzero leading minors, and the monic
 orthogonal polynomials.  The pass runs on int numerators over one
-denominator per row, in the layout of FLINT's ``fmpq_poly``.  The default
-``spot`` transform certifies it in O(n^2) mod a 61-bit prime, and falls
-back to the pivots of one swap-free Bareiss pass (``linalg._pivots``),
-the independent exact route whose pivots are the leading minors, when the
-prime divides a pivot or a denominator.  A symmetric matrix that is not
-Hankel is factored off the same pass.  The per-order ``bareiss_det``
-stays public as an oracle.
+denominator per row, in the layout of FLINT's ``fmpq_poly``, and holds
+two rows: each reader takes them as they come and stops where it stops.
+The default ``spot`` transform certifies them in O(n^2) mod a 61-bit
+prime, and falls back to the pivots of one swap-free Bareiss pass
+(``linalg._pivots``), the independent exact route whose pivots are the
+leading minors, when the prime divides a pivot or a denominator.  Other
+symmetric matrices are factored by that Bareiss pass too, and the
+per-order ``bareiss_det`` stays public as an oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate, repeat
+from itertools import accumulate, islice, repeat
 from math import gcd
 from operator import mul
 
@@ -80,12 +81,12 @@ def _chebyshev(a):
 
     The monic orthogonal polynomial pi_s of the moment functional
     x^l -> a_l exists at the regular indices s_0 = 0 < s_1 < ..., where
-    the Hankel minor H_s is nonzero.  Row j of ``rows`` holds
-    sigma_l = <pi_(s_j), x^l>, l = s_j..N-1-s_j, as (numerators, den):
-    sigma_(s_j+i) is ``num[i] / den``, den > 0, one gcd taken out.  With no
-    vanishing minor, s_j = j, num[0] / den is the LDL^T diagonal entry D[j]
-    of every Hankel matrix of the sequence and num[i] / num[0] its
-    unit-factor entry L[j+i][j].
+    the Hankel minor H_s is nonzero.  Row j holds sigma_l = <pi_(s_j), x^l>,
+    l = s_j..N-1-s_j, as (numerators, den): sigma_(s_j+i) is
+    ``num[i] / den``, den > 0, one gcd taken out.  With no vanishing minor,
+    s_j = j, num[0] / den is the LDL^T diagonal entry D[j] of every Hankel
+    matrix of the sequence and num[i] / num[0] its unit-factor entry
+    L[j+i][j].
 
     Let row j = N/D have k leading zeros and first nonzero entry c = N[k],
     and row j-1 = P/E have p = P[k'].  Then s_(j+1) = s_j + k + 1,
@@ -105,28 +106,28 @@ def _chebyshev(a):
     The J-fraction step needs no window solve: Q = (q0, q1) with
     q1 = p c, q0 = c P[k'+1] - p N[1] and g = c^2.  The row update is
     N[i+2] q1 + N[i+1] q0 - P[k'+i+2] g, without the multiplication by q1
-    when q1 = 1.  The content of the new row over D q1 is found by
-    ``series._normal``: the gcd of D q1 and the first three entries,
-    confirmed by one exact division of every entry; only a remainder
-    falls back to the gcd of all of them.
+    when q1 = 1, and ``series._normal`` takes out the content of the new
+    row over D q1.
 
-    Returns (rows, steps), step j = (Q, g, D, E) as ints, where Q and
+    Yields (row j, step j), step j = (Q, g, D, E) as ints, where Q and
     g = c^(k+2) have their content, gcd(g, *Q), taken out before the row
-    update: a positive scale that leaves the row unchanged.  For a
-    J-fraction with integer alpha_j and beta_j, such as the Catalan and
-    central families, the step is then ((-alpha_j, 1), beta_j, 1, 1), so
-    q1 = 1 on every step.  The pass ends when the terms no longer
-    determine a step (N - 2 s_j < 2k + 2) or the next row would be empty.
-    A caller that fails at the first vanishing minor stops reading at the
-    first row with a leading zero, whose step is the first with len(Q) > 2.
+    update.  For a J-fraction with integer alpha_j and beta_j, such as the
+    Catalan and central families, the step is then
+    ((-alpha_j, 1), beta_j, 1, 1), so q1 = 1 on every step.  The pass
+    ends when the terms no longer determine a step (N - 2 s_j < 2k + 2;
+    the step is then None) or the next row would be empty.  It holds two
+    rows and reads the one it yielded again, so a reader must not change
+    it; a reader that fails at the first vanishing minor stops pulling at
+    the first row with a leading zero, whose step is the first with
+    len(Q) > 2.
     """
     num, den = _integer_row(a)
-    rows, steps = [(num, den)], []
     low, low_den, kp = [1] + [0] * len(num), 1, 0
     while True:
         k = _leading_zeros(num)
         if len(num) < 2 * k + 2:
-            return rows, steps
+            yield (num, den), None
+            return
         c = num[k]
         if k:
             lead = c ** (k + 1)
@@ -141,9 +142,9 @@ def _chebyshev(a):
         g = gcd(gamma, *q)
         if g != 1:
             q, gamma = [x // g for x in q], gamma // g
-        steps.append((q, gamma, den, low_den))
+        yield (num, den), (q, gamma, den, low_den)
         if len(num) < 2 * k + 3:
-            return rows, steps
+            return
         q0, q1 = q[-2], q[-1]
         terms = zip(num[2 * k + 2 :], num[2 * k + 1 :], low[k + kp + 2 :])
         if q1 == 1:
@@ -155,7 +156,6 @@ def _chebyshev(a):
                 nxt = [v + q[i] * x for v, x in zip(nxt, num[k + 1 + i :])]
         low, low_den, kp = num, den, k
         num, den = _normal(nxt, den * q1)
-        rows.append((num, den))
 
 
 def _leading_zeros(num):
@@ -186,10 +186,11 @@ def ldl(h) -> LDLDecomp:
                 if h[i][j] != h[j][i]:
                     raise ValueError("matrix is not symmetric")
         return _ldl_dense(h)
-    rows = _chebyshev(terms)[0][:n]
-    for k, (num, _) in enumerate(rows):
+    rows = []
+    for (num, den), _ in islice(_chebyshev(terms), n):
         if num[0] == 0:
-            raise SingularLeadingMinor(k)
+            raise SingularLeadingMinor(len(rows))
+        rows.append((num, den))
     d = [Fraction(num[0], den) for num, den in rows]
     # L[i][k] = num_k[i-k] / num_k[0].
     l = [
@@ -218,17 +219,16 @@ def _ldl_dense(h) -> LDLDecomp:
 
 
 def hankel_transform(a, count: int, method: str = "spot"):
-    """First ``count`` Hankel determinants of the sequence.
+    """First ``count`` Hankel determinants of the sequence, folded off the
+    rows of the moment pass (``_chebyshev``) as they arrive.
 
-    Every method reads them off the moment pass (``_chebyshev``), which
-    runs through vanishing minors; ``bareiss`` is the only method that
-    reports them as values.  ``ldl`` raises SingularLeadingMinor at the
-    first one, and so do ``both`` and the default ``spot``, which are
-    the same: the pass with an O(n^2) certificate mod the prime 2^61 - 1
-    (see ``_certify``).  Should a residue the certificate divides by
-    vanish mod that prime, the determinants are checked against the pivots
-    of one exact Bareiss pass instead, which are the leading minors.
-    Integer terms give integers (a proper fraction raises
+    ``bareiss`` reads on through vanishing minors and reports them as
+    values.  ``ldl`` raises SingularLeadingMinor at the first one, and so
+    do ``both`` and the default ``spot``, which are the same: the pass
+    with an O(n^2) certificate mod the prime 2^61 - 1 (``_Certificate``).
+    Should a residue it divides by vanish mod that prime, the determinants
+    are checked against the pivots of one exact Bareiss pass, the leading
+    minors.  Integer terms give integers (a proper fraction raises
     IntegralityViolation); other exact terms give Fractions.
     """
     if count < 1:
@@ -240,11 +240,28 @@ def hankel_transform(a, count: int, method: str = "spot"):
     if method not in ("ldl", "bareiss", "both", "spot"):
         raise ValueError(f"unknown method {method!r}")
     terms = a[: 2 * count - 1]
-    rows, _ = _chebyshev(terms)
-    values = _minors(rows, count)
-    if method != "bareiss" and 0 in values:
-        raise SingularLeadingMinor(values.index(0))
-    if method in ("both", "spot") and not _certify(terms, rows, count):
+    check = _Certificate(terms, count) if method in ("both", "spot") else None
+    values, acc = [], 1
+    for (num, den), _ in _chebyshev(terms):
+        k = _leading_zeros(num)
+        if k and method != "bareiss":
+            raise SingularLeadingMinor(len(values))
+        values += [0] * k
+        if len(num) < 2 * k + 1:
+            # Every minor the terms reach has a zero first row.
+            break
+        # H_(s+k+1) = H_s (-1)^(k(k+1)/2) (c/den)^(k+1), while an int (as
+        # every minor of integer terms is) by one exact division, no gcd.
+        c = num[k] ** (k + 1) * (-1) ** (k * (k + 1) // 2) if k else num[k]
+        if type(acc) is int:
+            acc = _ratio(acc * c, den ** (k + 1))
+        else:
+            acc *= Fraction(c, den ** (k + 1))
+        values.append(acc)
+        if check:
+            check.add(num, den)
+    values = (values + [0] * count)[:count]
+    if check and not check.holds():
         # The pivots end at the first zero one, which no value matches.
         pivots = _pivots(hankel_matrix(a, count))
         for n, (pivot, value) in enumerate(zip(pivots, values)):
@@ -258,33 +275,13 @@ def hankel_transform(a, count: int, method: str = "spot"):
     return [Fraction(v) for v in values]
 
 
-def _minors(rows, count):
-    """H_1..H_count off the rows of the moment pass, zeros included.
-
-    Each is the one before times (-1)^(k(k+1)/2) (c/den)^(k+1).  While
-    that product stays an int, as every minor of integer terms does, it is
-    one multiplication and one exact division, with no gcd."""
-    values, acc = [], 1
-    for num, den in rows:
-        k = _leading_zeros(num)
-        values += [0] * k
-        if len(num) < 2 * k + 1:
-            # Every minor the terms reach has a zero first row.
-            break
-        c = num[k] ** (k + 1) * (-1) ** (k * (k + 1) // 2) if k else num[k]
-        if type(acc) is int:
-            acc = _ratio(acc * c, den ** (k + 1))
-        else:
-            acc *= Fraction(c, den ** (k + 1))
-        values.append(acc)
-    return (values + [0] * count)[:count]
-
-
 # The certificate works mod the Mersenne prime 2^61 - 1 with the vector
 # v_j = _BASE^j; a fixed base keeps every result and message reproducible.
+# It inverts the units of _BATCH rows at a time.
 _PRIME = (1 << 61) - 1
 _BASE = 0x9E3779B97F4A7C15 % _PRIME
 _BASE_INVERSE = pow(_BASE, -1, _PRIME)
+_BATCH = 16
 
 
 def _times(x, y):
@@ -293,8 +290,6 @@ def _times(x, y):
 
 def _residue(x):
     """x mod _PRIME for an exact number; None if its denominator is 0 there."""
-    if isinstance(x, int):
-        return x % _PRIME
     x = Fraction(x)
     unit = x.denominator % _PRIME
     return x.numerator * pow(unit, -1, _PRIME) % _PRIME if unit else None
@@ -307,7 +302,7 @@ def _hankel_times(terms, v):
     Row i+1 of H is row i shifted left by one, so
     (H v)_(i+1) = ((H v)_i - a_i) / _BASE + a_(i+n) _BASE^(n-1): O(n).
     """
-    a = [_residue(x) for x in terms]
+    a = [x % _PRIME if type(x) is int else _residue(x) for x in terms]
     if None in a:
         return None
     n, top = len(v), v[-1]
@@ -317,49 +312,61 @@ def _hankel_times(terms, v):
     return hv
 
 
-def _certify(terms, sigma, n):
-    """Freivalds' check of the first n rows of the moment pass, in O(n^2).
-
-    With U[k][l] = sigma_(k,l) (k <= l < n) and D the diagonal of U, the
-    Hankel matrix is H = U^T D^-1 U, so H v and U^T (D^-1 (U v)) must
-    agree mod the prime.  That certifies the pivots D, whose partial
-    products are the determinants.  A disagreement raises CrossCheckFailed.
-    Returns False, having checked nothing, when a residue that must be a
+class _Certificate:
+    """Freivalds' check of the first n rows of the moment pass, folded as
+    ``add`` takes them: with U[k][l] = sigma_(k,l) (k <= l < n) and D the
+    diagonal of U, H = U^T D^-1 U, so H v and U^T (D^-1 (U v)) must agree
+    mod the prime, which certifies the pivots D and so the determinants.
+    After row n-1, ``holds`` raises CrossCheckFailed at a disagreement, or
+    returns False, having checked nothing, if a residue that must be a
     unit (a row denominator, a pivot numerator, a denominator of a term)
-    is 0 mod the prime.
-
-    The entries of U are read as they are: each row's dot product with v
-    is reduced once mod the prime, and the units are inverted together,
-    by one inverse of their product.
+    is 0 mod the prime.  (D^-1 U v)_k is sum_j num_k[j] v_(k+j) / num_k[0],
+    and U^T adds it times num_k[j] / den_k to entry k+j; only each dot
+    product is reduced mod the prime.  Rows are folded _BATCH at a time,
+    their units inverted by one inverse of their product (Montgomery's
+    trick: the inverse of unit j is prefix_j / prefix_(j+1)).
     """
-    v = list(accumulate(repeat(_BASE, n - 1), _times, initial=1))
-    hv = _hankel_times(terms, v)
-    units = [num[0] * den % _PRIME for num, den in sigma[:n]]
-    if hv is None or 0 in units:
-        return False
-    # The inverse of every unit from one inverse of their product
-    # (Montgomery's trick): inverse_k = prefix_k / prefix_(k+1).
-    prefix = list(accumulate(units, _times, initial=1))
-    inverse = pow(prefix[-1], -1, _PRIME)
-    inverses = [0] * len(units)
-    for k in range(len(units) - 1, -1, -1):
-        inverses[k] = inverse * prefix[k] % _PRIME
-        inverse = inverse * units[k] % _PRIME
-    # (D^-1 U v)_k is sum_j num_k[j] v_(k+j) / num_k[0], and U^T adds it
-    # times num_k[j] / den_k to entry k+j.  Each dot product is reduced
-    # once; the entries of U are not.
-    udu = [0] * n
-    for k, (num, _) in enumerate(sigma[:n]):
-        row = num[: n - k]
-        t = sum(map(mul, row, v[k:])) % _PRIME * inverses[k] % _PRIME
-        udu[k:] = [u + c * t for u, c in zip(udu[k:], row)]
-    for i in range(n):
-        if hv[i] != udu[i] % _PRIME:
-            raise CrossCheckFailed(
-                f"moment pass fails its certificate at row {i}: "
-                "H v != U^T D^-1 U v mod 2^61-1"
-            )
-    return True
+
+    def __init__(self, terms, n):
+        self.terms, self.udu, self.rows, self.width = terms, [0] * n, [], n
+        self.v = self.hv = None  # made at the first fold
+
+    def add(self, num, den):
+        self.rows.append((num[: self.width], den))  # row k up to column n-1
+        self.width -= 1
+        if len(self.rows) == _BATCH:
+            self._fold()
+
+    def _fold(self):
+        rows, self.rows = self.rows, []
+        if self.v is None:
+            self.v = list(accumulate(repeat(_BASE, len(self.udu) - 1), _times, initial=1))
+            self.hv = _hankel_times(self.terms, self.v)
+        units = [num[0] * den % _PRIME for num, den in rows]
+        if self.hv is None or 0 in units:
+            self.hv = None
+            return
+        v, udu = self.v, self.udu
+        prefix = list(accumulate(units, _times, initial=1))
+        inverse = pow(prefix[-1], -1, _PRIME)
+        for (row, _), unit, before in zip(rows[::-1], units[::-1], prefix[-2::-1]):
+            k = len(v) - len(row)
+            t = sum(map(mul, row, v[k:])) % _PRIME * inverse * before % _PRIME
+            udu[k:] = [u + c * t for u, c in zip(udu[k:], row)]
+            inverse = inverse * unit % _PRIME
+
+    def holds(self):
+        if self.rows:
+            self._fold()
+        if self.hv is None:
+            return False
+        for i, (h, u) in enumerate(zip(self.hv, self.udu)):
+            if h != u % _PRIME:
+                raise CrossCheckFailed(
+                    f"moment pass fails its certificate at row {i}: "
+                    "H v != U^T D^-1 U v mod 2^61-1"
+                )
+        return True
 
 
 def binomial_transform(a, k: int = 1):

@@ -22,10 +22,11 @@ Sprugnoli, 2009); ``_binomial_product_rows``, a rule's array times
 (1+ky) A(y/(1+ky)); or ``_product_rows``, the product of two factors'
 blocks.  All but the last take O(n^2) int steps.  ``_inverse = (build,
 parameter)``: build(parameter, order) is the group inverse in closed form,
-``_rule_inverse`` for a rule array and the rule array for its inverse.
-An array built as ``RiordanArray(d, h)`` has none of these: it expands
-column by column as d * h^k, acts as d * (f o h) and inverts by Lagrange
-reversion, the routes that stay as the oracles of the fast ones.
+``_rule_inverse`` of the rule and the array's own (build, parameter) for a
+rule array, and the rule array for its inverse.  An array built as
+``RiordanArray(d, h)`` has none of these: it expands column by column as
+d * h^k, acts as d * (f o h) and inverts by Lagrange reversion, the routes
+that stay as the oracles of the fast ones.
 
 The row store keeps, for each route ``_rows`` whose arguments are plain
 data (every one but ``_product_rows``, whose arguments are arrays), the
@@ -375,13 +376,13 @@ def _head_step(a):
     ]
 
 
-def rule_matrix(z, a, tail, dim, ratio=1):
+def rule_matrix(z, a, tail, dim):
     """The dim x dim production matrix of a Z/A rule, A being a followed by
-    tail, tail * ratio, tail * ratio^2, ...: P[i][0] = Z_i and
-    P[i][j] = A_(i-j+1) for j >= 1, zero where i - j + 1 < 0 (Deutsch,
-    Ferrari & Rinaldi, 2005).  Entries are ints."""
+    tail, tail, ...: P[i][0] = Z_i and P[i][j] = A_(i-j+1) for j >= 1,
+    zero where i - j + 1 < 0 (Deutsch, Ferrari & Rinaldi, 2005).  Entries
+    are ints."""
     zs = list(z[:dim]) + [0] * (dim - len(z))
-    big_a = list(a[:dim]) + [tail * ratio**i for i in range(dim - len(a))]
+    big_a = list(a[:dim]) + [tail] * (dim - len(a))
     return [([zs[i]] + big_a[i::-1] + [0] * dim)[:dim] for i in range(dim)]
 
 
@@ -410,15 +411,14 @@ def binomial_power(k: int, order: int) -> RiordanArray:
     )
 
 
-def _rule_inverse(back, order: int) -> RiordanArray:
-    """The inverse of the array ``build(param, order)``, back = (build,
-    param), read off its rule: an array with d(0) = 1, Z-sequence Z and
-    A-sequence A has the inverse ((A - xZ)/A, x/A) (He & Sprugnoli, 2009).
-    With A = a followed by tail, tail, ..., A = q/m for m = 1 - x if there
-    is a tail and m = 1 if not, and q = a m + tail x^len(a); the inverse is
-    (num/q, x m/q) with num = q - x Z m, and it inverts back to ``back``."""
-    build, param = back
-    z, a, tail = build(param, order)._rows[1]
+def _rule_inverse(source, order: int) -> RiordanArray:
+    """The inverse of the array back = (build, param) builds, read off its
+    rule (z, a, tail), source = ((z, a, tail), back): an array with d(0) = 1,
+    Z-sequence Z and A-sequence A = a, tail, tail, ... has the inverse
+    ((A - xZ)/A, x/A) (He & Sprugnoli, 2009).  A = q/m for m = 1 - x if
+    there is a tail and m = 1 if not, and q = a m + tail x^len(a); the
+    inverse is (num/q, x m/q) with num = q - x Z m, and inverts to back."""
+    (z, a, tail), back = source
     m = (1, -1) if tail else (1,)
     q = _times(a, m)
     q[-1] += tail
@@ -491,13 +491,9 @@ def l_central(r: int, order: int) -> RiordanArray:
     matrix is tridiagonal: Z = (r+1, 2r), A = (1, r+1, r).
     """
     _check_central(r, order)
-    return _named(
-        _central_series,
-        (r, order),
-        order,
-        (_rule_rows, ((r + 1, 2 * r), (1, r + 1, r), 0)),
-        (_rule_inverse, (l_central, r)),
-    )
+    rule = ((r + 1, 2 * r), (1, r + 1, r), 0)
+    inverse = (_rule_inverse, (rule, (l_central, r)))
+    return _named(_central_series, (r, order), order, (_rule_rows, rule), inverse)
 
 
 def _central_series(r: int, order: int):
@@ -519,13 +515,9 @@ def l_catalan(r: int, order: int) -> RiordanArray:
     ``coefficient_array(r)``.  Its production matrix is tridiagonal:
     Z = (r, r), A = (1, r+1, r)."""
     _check_central(r, order)
-    return _named(
-        _catalan_series,
-        (r, order),
-        order,
-        (_rule_rows, ((r, r), (1, r + 1, r), 0)),
-        (_rule_inverse, (l_catalan, r)),
-    )
+    rule = ((r, r), (1, r + 1, r), 0)
+    inverse = (_rule_inverse, (rule, (l_catalan, r)))
+    return _named(_catalan_series, (r, order), order, (_rule_rows, rule), inverse)
 
 
 def _catalan_series(r: int, order: int):
@@ -540,8 +532,9 @@ def a_p(r: int, order: int) -> RiordanArray:
     ``production.p_catalan(r)``, whose rule is Z = (0), A = (r, 1, 1, ...).
     """
     _check_central(r, order)
-    rule = (_rule_rows, ((0,), (r,), 1))
-    return _named(_ap_series, (r, order), order, rule, (_rule_inverse, (a_p, r)))
+    rule = ((0,), (r,), 1)
+    inverse = (_rule_inverse, (rule, (a_p, r)))
+    return _named(_ap_series, (r, order), order, (_rule_rows, rule), inverse)
 
 
 def _ap_series(r: int, order: int):

@@ -57,10 +57,21 @@ def naive_hankel_transform(terms, count):
     return out
 
 
+def moment_pass(a):
+    """The stream of ``hankel._chebyshev`` over the terms collected as
+    (rows, steps): every row, and every step but the None that ends it."""
+    rows, steps = [], []
+    for row, step in hankel._chebyshev(a):
+        rows.append(row)
+        if step is not None:
+            steps.append(step)
+    return rows, steps
+
+
 def fraction_chebyshev(a):
     """Chebyshev's algorithm on Fractions, carried through vanishing
     minors one window equation at a time: (rows, steps) as
-    ``hankel._chebyshev`` returns them, with rows[j][i] = sigma_(s_j+i) a
+    ``moment_pass`` collects them, with rows[j][i] = sigma_(s_j+i) a
     Fraction and step j as (q, gamma), Fractions, for
     pi_(s_(j+1)) = q(x) pi_(s_j) - gamma pi_(s_(j-1)), q monic of degree
     k_j + 1.  With every k_j = 0, q = (-alpha_j, 1) and gamma = beta_j."""

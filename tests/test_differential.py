@@ -42,6 +42,7 @@ from helpers import (
     fraction_ldl,
     fraction_mat_mul,
     fraction_production_matrix,
+    moment_pass,
     naive_binomial_transform,
     quadratic_hankel_times,
 )
@@ -238,7 +239,7 @@ def test_integer_row_engine_matches_the_fraction_oracle():
     rng = random.Random(8)
     branches = set()
     for a in engine_inputs(rng):
-        rows, steps = hankel._chebyshev(a)
+        rows, steps = moment_pass(a)
         for num, den in rows:
             assert den > 0 and gcd(den, *num) == 1, (a, num, den)
         fractions = [[Fraction(c, den) for c in num] for num, den in rows]
@@ -303,7 +304,7 @@ def test_readers_of_the_moment_pass_give_ints_where_integral():
 def first_zero_row(a):
     """Index of the first row with a leading zero in the moment pass over
     the terms, the first vanishing minor, or None."""
-    rows = hankel._chebyshev(a)[0]
+    rows = moment_pass(a)[0]
     return next((j for j, (num, _) in enumerate(rows) if num[:1] == [0]), None)
 
 
@@ -353,7 +354,7 @@ def test_char_poly_matches_window_solves():
         for d in range(1, 26):
             expected = outcome(window_char_poly, a, d)
             assert repr(outcome(berlekamp.char_poly, a, d)) == repr(expected), (a, d)
-            steps = hankel._chebyshev(a[: 2 * d])[1]
+            steps = moment_pass(a[: 2 * d])[1]
             no_minor_vanishes = [len(q) for q, *_ in steps[:d]] == [2] * d
             seen.add((expected[0], no_minor_vanishes))
     # Both kinds of window give values, and windows after a vanishing
@@ -777,7 +778,8 @@ def test_rule_inverse_gives_the_binomial_inverses():
     # binomial_power(k) keeps its own inverse, but its rule Z = (k),
     # A = (1, k) read by the rule's inverse formula gives binomial_power(-k).
     for k in range(-4, 5):
-        got = riordan._rule_inverse((riordan.binomial_power, k), 30)
+        rule = ((k,), (1, k), 0)
+        got = riordan._rule_inverse((rule, (riordan.binomial_power, k)), 30)
         want = riordan.binomial_power(-k, 30)
         assert repr(got) == repr(want), k
         assert repr(got.to_matrix(30)) == repr(want.to_matrix(30)), k

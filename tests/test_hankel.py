@@ -4,14 +4,20 @@ from __future__ import annotations
 
 import pickle
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
-from riordankit import hankel, linalg, riordan, sequences
-from riordankit.errors import CrossCheckFailed, InsufficientTerms, SingularLeadingMinor
+from riordankit import berlekamp, hankel, linalg, riordan, sequences
+from riordankit.errors import (
+    CrossCheckFailed,
+    InsufficientTerms,
+    SingularLeadingMinor,
+    SingularSystem,
+)
 
-from helpers import det_cofactor, naive_binomial_transform, naive_hankel_transform
+from helpers import det_cofactor, moment_pass, naive_binomial_transform, naive_hankel_transform
 
 FIB = [1, 1, 2, 3, 5, 8, 13, 21, 34]
 
@@ -105,7 +111,7 @@ def test_moment_pass_steps_are_the_j_fraction(r):
     catalan = [r] + [r + 1] * (n - 1), [1] + [r] * (n - 1)
     central = [r + 1] * n, [1, 2 * r] + [r] * (n - 2)
     for name, (alpha, beta) in (("catalan", catalan), ("central", central)):
-        _, steps = hankel._chebyshev(sequences.family_terms(name, 2 * n, r))
+        _, steps = moment_pass(sequences.family_terms(name, 2 * n, r))
         assert steps == [([-x, 1], y, 1, 1) for x, y in zip(alpha, beta)], name
 
 
@@ -233,13 +239,12 @@ def corrupted_engine(k, j):
     engine = hankel._chebyshev
 
     def corrupt(a):
-        rows, steps = engine(a)
-        num, den = rows[k]
-        if j is None:
-            rows[k] = (num, den + 1)
-        else:
-            rows[k] = (num[:j] + [num[j] + den] + num[j + 1 :], den)
-        return rows, steps
+        for i, ((num, den), step) in enumerate(engine(a)):
+            if i == k and j is None:
+                den += 1
+            elif i == k:
+                num = num[:j] + [num[j] + den] + num[j + 1 :]
+            yield (num, den), step
 
     return corrupt
 
@@ -302,6 +307,64 @@ def test_degenerate_residue_falls_back_to_bareiss(monkeypatch, terms, expected):
     monkeypatch.setattr(hankel, "_pivots", broken)
     with pytest.raises(CrossCheckFailed, match="disagree at order 0"):
         hankel.hankel_transform(terms, 4, method="spot")
+
+
+def test_a_unit_that_vanishes_past_the_first_batch_ends_the_certificate(monkeypatch):
+    # Row 20's denominator times the prime: its unit is 0 mod the prime
+    # after one batch of rows has been folded, so the certificate stops
+    # and the pivots decide, here against the minor the corruption changed.
+    engine = hankel._chebyshev
+
+    def corrupt(a):
+        for i, ((num, den), step) in enumerate(engine(a)):
+            yield (num, den * P61 if i == 20 else den), step
+
+    monkeypatch.setattr(hankel, "_chebyshev", corrupt)
+    terms = sequences.family_terms("catalan", 63, 2)
+    with pytest.raises(CrossCheckFailed, match="disagree at order 20"):
+        hankel.hankel_transform(terms, 32)
+
+
+def test_readers_pull_no_row_past_the_first_leading_zero(monkeypatch):
+    # A 0 before digits: the first minor vanishes and the later ones do
+    # not, so each reader that fails at the first vanishing minor stops at
+    # row 0 of the pass, before the O(n^2) work of the rows after it.
+    rng = random.Random(160)
+    a = [0] + [rng.randint(1, 9) for _ in range(319)]
+    engine, pulled = hankel._chebyshev, []
+
+    def spy(terms):
+        for pair in engine(terms):
+            pulled.append(pair)
+            yield pair
+
+    monkeypatch.setattr(hankel, "_chebyshev", spy)
+    monkeypatch.setattr(berlekamp, "_chebyshev", spy)
+    readers = [(SingularLeadingMinor, hankel.ldl, hankel.hankel_matrix(a, 160))]
+    for method in ("ldl", "spot", "both"):
+        readers.append((SingularLeadingMinor, hankel.hankel_transform, a, 160, method))
+    readers.append((SingularSystem, berlekamp.bm_triangle, a, 160))
+    for error, read, *args in readers:
+        pulled.clear()
+        with pytest.raises(error):
+            read(*args)
+        assert len(pulled) == 1, (read, args[2:])
+
+
+def test_transform_holds_the_pass_two_rows_at_a_time():
+    # Every row of the pass at n = 160 on sum r = 3 held together takes
+    # about 17 times the result; the transform holds two rows and the
+    # certificate's batch.
+    terms = sequences.family_terms("sum", 319, 3)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        values = hankel.hankel_transform(terms, 160)
+        size, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(values) == 160
+    assert peak - base <= 4 * (size - base)
 
 
 def test_binomial_transform_against_direct_sum():

@@ -93,7 +93,8 @@ def test_binomial_products_have_the_shifted_a_sequence():
                 product = build(r, dim + 1).multiply(riordan.binomial_power(k, dim + 1))
                 p = production.production_matrix(product.to_matrix(dim + 1))
                 head, tail_k, ratio = riordan._binomial_shift(a, tail, k)
-                q = riordan.rule_matrix((), head, tail_k, dim, ratio=ratio)
+                shifted_a = [*head, *(tail_k * ratio**i for i in range(dim))][:dim]
+                q = [([0] + shifted_a[i::-1] + [0] * dim)[:dim] for i in range(dim)]
                 assert [row[1:] for row in p] == [row[1:] for row in q], (build, r, k)
 
 

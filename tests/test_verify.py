@@ -227,3 +227,21 @@ def test_a_check_that_raises_is_reported_as_a_failed_check(
     assert int(data["summary"]["failed"]) == len(
         [c for c in data["checks"] if c["status"] == "fail"]
     )
+
+
+def test_summary_counts_one_planted_failure(capsys, monkeypatch):
+    # One failing check among the series checks: every count of the
+    # summary must move, the library's report and the CLI's alike.
+    total = verify.run_checks(["series"], 2, 4).summary["total"]
+
+    def planted(r_max, n_max):
+        yield verify.CheckResult("planted", "a planted claim", "{}", "fail", "1", "2")
+
+    monkeypatch.setitem(verify._REGISTRY, "planted", ("series", planted))
+    summary = verify.run_checks(["series"], 2, 4).summary
+    assert summary == {"total": total + 1, "passed": total, "failed": 1}
+    code = cli.main(["verify", "--scope", "series", "--r-max", "2", "--n-max", "4"])
+    out, _ = capsys.readouterr()
+    assert code == 1
+    summary = json.loads(out)["summary"]
+    assert summary == {"total": str(total + 1), "passed": str(total), "failed": "1"}
